@@ -81,7 +81,7 @@ def cmd_ingest(args):
     n_labels = sum(len(v) for v in corpus.labels.values())
     print(f"corpus: {len(corpus.image_ids())} images, {len(corpus.classes)} classes, "
           f"{n_labels} labels, {corpus.n_captions()} captions, "
-          f"{corpus.meta.get('dropped_records', 0)} dropped -> {out}")
+          f"{corpus.dropped_records} dropped -> {out}")
     return 0
 
 

@@ -16,7 +16,7 @@ import warnings
 from collections import Counter
 from dataclasses import dataclass, field
 
-import numpy as np
+from .mixture import make_batch
 
 
 class FingerprintError(ValueError):
@@ -239,18 +239,10 @@ def _hidden_display_names(corpus, image_id):
 def predict(model, vocab, examples, images, batch_size=64):
     """Greedy predictions for task examples, in order.  Deterministic."""
     preds = []
-    cfg = model.cfg
+    limits = (model.cfg.max_prompt, model.cfg.max_target)
     for lo in range(0, len(examples), batch_size):
-        chunk = examples[lo : lo + batch_size]
-        enc = [vocab.encode(ex.prompt)[: cfg.max_prompt] for ex in chunk]
-        width = max(len(e) for e in enc)
-        pids = np.full((len(chunk), width), vocab.pad_id, dtype=np.int64)
-        mask = np.zeros((len(chunk), width), dtype=np.float32)
-        for i, e in enumerate(enc):
-            pids[i, : len(e)] = e
-            mask[i, : len(e)] = 1.0
-        imgs = np.stack([np.asarray(images[ex.image_id], dtype=np.float32) for ex in chunk])
-        for ids in model.generate_batch(imgs, pids, prompt_mask=mask):
+        batch = make_batch(examples[lo : lo + batch_size], vocab, limits, images=images)
+        for ids in model.generate_batch(batch.images, batch.prompt_ids, prompt_mask=batch.prompt_mask):
             preds.append(vocab.decode(ids))
     return preds
 

@@ -2,8 +2,9 @@
 
 Word-level tokenizer, a pre-LN transformer whose encoder consumes vision
 patch tokens concatenated with prompt tokens (modality-type embeddings tell
-them apart), a causal decoder with cross-attention, greedy generation, a
-fixed-schedule training loop, and a binary checkpoint format with an
+them apart), a causal decoder with cross-attention, greedy generation (one
+token per step over cached decoder K/V, stopping once every row has emitted
+eos), a fixed-schedule training loop, and a binary checkpoint format with an
 integrity digest.  Weight tying: the decoder output projection is the token
 embedding transposed.
 """
@@ -180,9 +181,11 @@ class ModelConfig:
 # ---------------------------------------------------------------------------
 # model
 
-def _causal_mask(n, dtype):
-    m = np.zeros((1, 1, n, n), dtype=dtype)
-    m[..., np.triu_indices(n, k=1)[0], np.triu_indices(n, k=1)[1]] = nk.MASK_NEG
+def _causal_mask(n, dtype, start=0):
+    """Additive mask for n queries at positions start.. over start+n keys."""
+    m = np.zeros((1, 1, n, start + n), dtype=dtype)
+    rows, cols = np.triu_indices(n, k=start + 1, m=start + n)
+    m[..., rows, cols] = nk.MASK_NEG
     return m
 
 
@@ -261,10 +264,21 @@ class Model:
         B, h, T, dh = x.data.shape
         return reshape(transpose(x, (0, 2, 1, 3)), (B, T, h * dh))
 
-    def _mha(self, prefix, xq, xkv, mask):
+    def _mha(self, prefix, xq, xkv, mask, cache=None):
+        """Multi-head attention.  With a ``cache`` dict, keys/values live under
+        ``prefix``: those projected from ``xkv`` are appended to the cached
+        ones, and ``xkv=None`` reuses the cached ones as they are."""
         q = self._split_heads(matmul(xq, self._t(f"{prefix}.wq")))
-        k = self._split_heads(matmul(xkv, self._t(f"{prefix}.wk")))
-        v = self._split_heads(matmul(xkv, self._t(f"{prefix}.wv")))
+        if xkv is None:
+            k, v = cache[prefix]
+        else:
+            k = self._split_heads(matmul(xkv, self._t(f"{prefix}.wk")))
+            v = self._split_heads(matmul(xkv, self._t(f"{prefix}.wv")))
+            if cache is not None:
+                if prefix in cache:
+                    k = concat([cache[prefix][0], k], axis=2)
+                    v = concat([cache[prefix][1], v], axis=2)
+                cache[prefix] = (k, v)
         out = self._merge_heads(attention(q, k, v, mask=mask))
         return matmul(out, self._t(f"{prefix}.wo"))
 
@@ -310,19 +324,28 @@ class Model:
             x = x + self._ff(f"enc{i}.ff", self._ln(f"enc{i}.ln2", x))
         return self._ln("enc.ln_f", x), key_mask
 
-    def decode(self, memory, mem_mask, dec_ids):
-        """Causal decoder with cross-attention; returns logits (B,T,V)."""
+    def decode(self, memory, mem_mask, dec_ids, cache=None, start=0):
+        """Causal decoder with cross-attention; returns logits (B,T,V).
+
+        ``dec_ids`` holds positions ``start..start+T-1``.  For incremental
+        decoding the caller passes the same ``cache`` dict (empty at first)
+        to every call, with ``start`` the number of positions already fed:
+        each layer's self-attention K/V grow by the new positions, and the
+        cross-attention K/V over ``memory`` are computed once and reused.
+        """
         cfg = self.cfg
         T = dec_ids.shape[1]
-        if T > cfg.max_target:
-            raise ShapeError(f"target length {T} > max {cfg.max_target}")
+        if start + T > cfg.max_target:
+            raise ShapeError(f"target length {start + T} > max {cfg.max_target}")
         x = embedding(self._t("embed.tok"), dec_ids)
-        x = x + reshape(embedding(self._t("embed.dec_pos"), np.arange(T)), (1, T, cfg.d_model))
-        causal = _causal_mask(T, self.dtype)
+        x = x + reshape(embedding(self._t("embed.dec_pos"), np.arange(start, start + T)), (1, T, cfg.d_model))
+        causal = _causal_mask(T, self.dtype, start)
         for i in range(cfg.n_decoder_layers):
+            cross = f"dec{i}.cross"
             h = self._ln(f"dec{i}.ln1", x)
-            x = x + self._mha(f"dec{i}.self", h, h, causal)
-            x = x + self._mha(f"dec{i}.cross", self._ln(f"dec{i}.ln2", x), memory, mem_mask)
+            x = x + self._mha(f"dec{i}.self", h, h, causal, cache)
+            kv_src = None if cache and cross in cache else memory
+            x = x + self._mha(cross, self._ln(f"dec{i}.ln2", x), kv_src, mem_mask, cache)
             x = x + self._ff(f"dec{i}.ff", self._ln(f"dec{i}.ln3", x))
         x = self._ln("dec.ln_f", x)
         # tied output projection
@@ -354,7 +377,11 @@ class Model:
     # -- generation --------------------------------------------------------
 
     def generate_batch(self, images, prompt_ids, prompt_mask=None, max_len=None):
-        """Greedy decode.  Returns list of id lists (no pad, stop at eos)."""
+        """Greedy decode.  Returns list of id lists (no pad, stop at eos).
+
+        Feeds one token per step through a decoder K/V cache and stops once
+        every row has emitted eos.
+        """
         cfg = self.cfg
         if max_len is None:
             max_len = cfg.max_target
@@ -364,16 +391,23 @@ class Model:
         if prompt_mask is None:
             prompt_mask = (prompt_ids != Vocab.pad_id).astype(self.dtype)
         B = prompt_ids.shape[0]
+        # columns left unfilled by the early stop lie after every row's eos
+        out = np.full((B, max_len), Vocab.eos_id, dtype=np.int64)
+        done = np.zeros(B, dtype=bool)
         with no_grad():
             memory, mem_mask = self.encode(images, prompt_ids, prompt_mask)
-            out = np.full((B, 1), Vocab.pad_id, dtype=np.int64)  # BOS = pad
-            for _ in range(max_len):
-                logits = self.decode(memory, mem_mask, out).data[:, -1, :]
+            cache = {}
+            nxt = np.full((B, 1), Vocab.pad_id, dtype=np.int64)  # BOS = pad
+            for t in range(max_len):
+                logits = self.decode(memory, mem_mask, nxt, cache=cache, start=t).data[:, -1, :]
                 logits[:, Vocab.pad_id] = -np.inf  # never emit pad
-                nxt = logits.argmax(axis=-1)
-                out = np.concatenate([out, nxt[:, None]], axis=1)
+                nxt = logits.argmax(axis=-1)[:, None]
+                out[:, t] = nxt[:, 0]
+                done |= nxt[:, 0] == Vocab.eos_id
+                if done.all():
+                    break
         results = []
-        for row in out[:, 1:]:
+        for row in out:
             ids = []
             for i in row:
                 if i == Vocab.eos_id:

@@ -267,6 +267,16 @@ def test_cli_ingest_and_synth(raw_annotations, capsys):
     assert os.path.exists(os.path.join(tasks, "synth_manifest.json"))
 
 
+def test_cli_ingest_counts_dropped_records(raw_annotations, capsys):
+    tmp, classes, labels, captions = raw_annotations
+    with open(labels, "a") as f:
+        f.write("im9,machine,/m/0k4j,1\n")  # im9 has no caption: unknown image
+    rc = main(["ingest", "--classes", str(classes), "--labels", str(labels),
+               "--captions", str(captions), "--out", str(tmp / "corpus")])
+    assert rc == 0
+    assert "1 dropped" in capsys.readouterr().out
+
+
 def test_cli_synth_rerun_identical(raw_annotations, capsys):
     tmp, classes, labels, captions = raw_annotations
     out = str(tmp / "corpus")

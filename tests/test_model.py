@@ -1,5 +1,6 @@
 """Tokenizer, transformer forward/generate, training loop, checkpoints."""
 
+import dataclasses
 import json
 import math
 import os
@@ -25,7 +26,7 @@ from mixpretrain.model import (
     save_checkpoint,
     train,
 )
-from mixpretrain.nnkernel import AdamState, ShapeError, finite_difference_check
+from mixpretrain.nnkernel import AdamState, ShapeError, finite_difference_check, no_grad
 from mixpretrain.tasksynth import SynthConfig, TaskExample, TaskKind, synth_dataset
 
 
@@ -200,6 +201,95 @@ def test_generate_max_len_guard():
     corp, exs, vocab, model, images = _tiny_setup()
     with pytest.raises(ShapeError):
         model.generate(images[exs[0].image_id], np.array(vocab.encode("x")), max_len=99)
+
+
+def _count_decode_calls(model):
+    calls = []
+    inner = model.decode
+
+    def counted(*args, **kwargs):
+        calls.append(args[2].shape[1])
+        return inner(*args, **kwargs)
+
+    model.decode = counted
+    return calls
+
+
+def _reference_greedy(model, images, prompt_ids, prompt_mask):
+    """Full-prefix greedy loop without cache or early stop."""
+    with no_grad():
+        memory, mem_mask = model.encode(images, prompt_ids, prompt_mask)
+        out = np.full((len(prompt_ids), 1), Vocab.pad_id, dtype=np.int64)
+        for _ in range(model.cfg.max_target):
+            logits = model.decode(memory, mem_mask, out).data[:, -1, :]
+            logits[:, Vocab.pad_id] = -np.inf
+            out = np.concatenate([out, logits.argmax(axis=-1)[:, None]], axis=1)
+    return [list(row[1:]) for row in out]
+
+
+def test_cached_decode_matches_full_prefix():
+    corp, exs, vocab, small, images = _tiny_setup()
+    cfg = dataclasses.replace(small.cfg, n_decoder_layers=2)
+    model = Model(cfg, seed=4, dtype=np.float64)
+    batch = _batch_of(exs[:3], vocab, model, images)
+    ids = np.random.default_rng(0).integers(0, len(vocab), size=(3, cfg.max_target))
+    with no_grad():
+        memory, mem_mask = model.encode(batch.images.astype(np.float64), batch.prompt_ids,
+                                        batch.prompt_mask)
+        cache = {}
+        for t in range(cfg.max_target):
+            step = model.decode(memory, mem_mask, ids[:, t : t + 1], cache=cache, start=t)
+            full = model.decode(memory, mem_mask, ids[:, : t + 1])
+            assert step.data.shape == (3, 1, len(vocab))
+            np.testing.assert_allclose(step.data[:, 0], full.data[:, -1], rtol=0, atol=1e-10)
+
+
+def test_generate_stops_per_row_like_reference_loop():
+    corp, exs, vocab, model, images = _tiny_setup()
+    img = corp.image_ids()[0]
+    data = [_ex("one word please", "cat", img), _ex("three words please", "a red dog", img),
+            _ex("five words now please", "a b c d e", img)]
+    vocab = build_vocab(data + exs)
+    model = Model(dataclasses.replace(model.cfg, vocab_size=len(vocab)), seed=0)
+    sched = build_schedule(MixtureSpec.equal(["caption"]),
+                           ScheduleConfig(total_steps=100, batch_size=3, seed=0), {"caption": 3})
+    train(model, sched, {"caption": data}, vocab, AdamState(lr=1e-2), images=images)
+    batch = _batch_of(data, vocab, model, images)
+
+    expected = []
+    for row in _reference_greedy(model, batch.images, batch.prompt_ids, batch.prompt_mask):
+        expected.append(row[: row.index(Vocab.eos_id)] if Vocab.eos_id in row else row)
+    calls = _count_decode_calls(model)
+    got = model.generate_batch(batch.images, batch.prompt_ids, prompt_mask=batch.prompt_mask)
+    assert got == expected
+    assert [len(ids) for ids in got] == [1, 3, 5]
+    # one token per call, and the last row's eos ends the loop early
+    assert calls == [1] * 6
+
+
+def test_generate_all_eos_first_decodes_once():
+    corp, exs, vocab, model, images = _tiny_setup()
+    tok = model.params["embed.tok"].data
+    tok[Vocab.eos_id] *= 10
+    # final features equal the eos embedding, so eos wins every argmax
+    model.params["dec.ln_f.g"].data[:] = 0
+    model.params["dec.ln_f.b"].data[:] = tok[Vocab.eos_id]
+    batch = _batch_of(exs[:4], vocab, model, images)
+    calls = _count_decode_calls(model)
+    out = model.generate_batch(batch.images, batch.prompt_ids, prompt_mask=batch.prompt_mask)
+    assert out == [[]] * 4
+    assert calls == [1]
+
+
+def test_decode_rejects_positions_past_max_target():
+    corp, exs, vocab, model, images = _tiny_setup()
+    batch = _batch_of(exs[:2], vocab, model, images)
+    T = model.cfg.max_target
+    memory, mem_mask = model.encode(batch.images, batch.prompt_ids, batch.prompt_mask)
+    with pytest.raises(ShapeError):
+        model.decode(memory, mem_mask, np.zeros((2, T + 1), dtype=np.int64))
+    with pytest.raises(ShapeError):
+        model.decode(memory, mem_mask, np.zeros((2, 1), dtype=np.int64), cache={}, start=T)
 
 
 def test_end_to_end_gradient_check():
