@@ -10,19 +10,23 @@ retraining.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 import multiprocessing
 import os
 import statistics
 
+from . import tasksynth
 from .config import RunConfig, render_config
 from .runner import load_run_report, run_complete, run_training
-from .tasksynth import EASY, HARD
+from .tasksynth import EASY, HARD, TaskKind
 
-CM_KINDS = ["caption", "completion", "itm", "mlm"]
-OA_LIST = ["oa_list"]
-OA_QUESTIONS = ["oa_exists", "oa_andor", "oa_which"]
+# kind-name lists in TaskKind order: the object-aware list task is split from
+# the three object questions because the paper's grids treat them apart
+CM_KINDS = [k.value for k in tasksynth.CM_KINDS]
+OA_LIST = [TaskKind.OA_LIST.value]
+OA_QUESTIONS = [k.value for k in tasksynth.OA_KINDS if k is not TaskKind.OA_LIST]
 ALL_KINDS = CM_KINDS + OA_LIST + OA_QUESTIONS
 
 # mixture-composition grid: one row per training recipe
@@ -70,7 +74,7 @@ def variant_metrics(report):
     out = {"overall_em": report["overall"]["exact_match"]}
     for kind, row in per.items():
         out[f"em.{kind}"] = row["exact_match"]
-    cm = [per[k]["exact_match"] for k in ("completion", "itm", "mlm") if k in per]
+    cm = [per[k]["exact_match"] for k in CM_KINDS if k != TaskKind.CAPTION and k in per]
     oa = [per[k]["exact_match"] for k in OA_LIST + OA_QUESTIONS if k in per]
     if cm:
         out["cm_em"] = sum(cm) / len(cm)
@@ -106,14 +110,12 @@ def run_grid(grid, base, out_root, seeds=(0, 1, 2), jobs=1, eval_kinds=None, log
         for name, kinds, policy in grid for seed in seeds
     ]
     say(f"{len(grid)} variants x {len(seeds)} seeds = {len(jobs_list)} runs, jobs={jobs}")
-    if jobs > 1:
-        with multiprocessing.Pool(jobs) as pool:
-            results = pool.map(_run_one, jobs_list)
-    else:
-        results = []
-        for job in jobs_list:
-            results.append(_run_one(job))
-            name, seed, err, _ = results[-1]
+    results = []
+    with contextlib.ExitStack() as stack:
+        run = stack.enter_context(multiprocessing.Pool(jobs)).imap if jobs > 1 else map
+        for result in run(_run_one, jobs_list):  # grid order on both paths
+            results.append(result)
+            name, seed, err, _ = result
             say(f"  {name} seed{seed}: {'FAILED ' + err if err else 'done'}")
 
     variants = {}

@@ -1,14 +1,24 @@
 """Command-line front end.
 
-Verbs: ingest (annotation files -> corpus dir), synth (corpus -> task JSONL),
-train (config -> run dir), eval (re-score a run), score (offline predictions
-vs ground truth), gradcheck (kernel + model gradient audit), ablate (mixture
-grids).  Exit codes: 0 ok, 2 input/config error, 3 runtime training error.
+Verbs, and the shared-name flags each one reads:
+
+  ingest       annotation files -> corpus dir            --out
+  synth        corpus -> task JSONL                      --seed --out
+  train        config -> run dir                         --seed --out --config
+  eval         re-score a run directory                  (none)
+  score        offline predictions vs ground truth       --out
+  gradcheck    kernel + model gradient audit             --seed
+  ablate       mixture grids                             --out --jobs --config
+  init-config  write a starter run config                --seed --out
+
+A verb rejects any flag it does not read.  Exit codes: 0 ok, 2 input/config
+error, 3 runtime training error.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -24,7 +34,6 @@ from .corpus import (
     build_corpus,
     build_lexicon,
     load_corpus,
-    parse_box_labels,
     parse_class_descriptions,
     parse_image_labels,
     parse_localized_narratives,
@@ -72,10 +81,9 @@ def cmd_ingest(args):
             raise ParseError(f"{path}: {e}") from None
     classes = parsed(parse_class_descriptions, args.classes)
     labels = parsed(parse_image_labels, args.labels)
-    boxes = parsed(parse_box_labels, args.boxes)
     captions = parsed(parse_localized_narratives, args.captions)
     lexicon = parsed(build_lexicon, args.lexicon) or None
-    corpus = build_corpus(classes, labels=labels, boxes=boxes, captions=captions)
+    corpus = build_corpus(classes, labels=labels, captions=captions)
     out = _under_root(args.out, "corpus")
     save_corpus(corpus, out, lexicon=lexicon)
     n_labels = sum(len(v) for v in corpus.labels.values())
@@ -102,7 +110,7 @@ def cmd_synth(args):
     if lexicon is None:
         lexicon = load_bundled_lexicon()
     kinds = _parse_kinds(args.kinds)
-    cfg = SynthConfig(seed=args.seed if args.seed is not None else 0, policy=args.policy)
+    cfg = SynthConfig(seed=args.seed, policy=args.policy)
     out = _under_root(args.out, "tasks")
     paths = write_task_files(corpus, kinds, args.count, cfg, out, lexicon=lexicon)
     with open(os.path.join(out, "synth_manifest.json")) as f:
@@ -208,7 +216,7 @@ def cmd_ablate(args):
 
 def cmd_init_config(args):
     text = default_config_text(out=args.out or os.path.join(data_root(), "runs", "demo"),
-                               seed=args.seed or 0)
+                               seed=args.seed)
     if args.path == "-":
         sys.stdout.write(text)
     else:
@@ -226,67 +234,65 @@ def build_parser():
                                 description="object-aware task-mixture pretraining workbench")
     p.add_argument("--version", action="version", version=__version__)
     sub = p.add_subparsers(dest="verb", required=True)
+    # no prefix matching, so "ablate --seed 7" is rejected, not read as "--seeds 7"
+    verb = functools.partial(sub.add_parser, allow_abbrev=False)
 
-    def common(sp, out_help="output location"):
-        sp.add_argument("--seed", type=int, default=None)
-        sp.add_argument("--out", default=None, help=out_help)
-        sp.add_argument("--jobs", type=int, default=1)
-        sp.add_argument("--config", default=None, help="run config INI")
-
-    sp = sub.add_parser("ingest", help="validate annotation files into a corpus directory")
+    sp = verb("ingest", help="validate annotation files into a corpus directory")
     sp.add_argument("--classes", required=True, help="class descriptions CSV")
     sp.add_argument("--labels", help="image-level labels CSV")
-    sp.add_argument("--boxes", help="box labels CSV")
     sp.add_argument("--captions", help="narrative captions JSONL")
     sp.add_argument("--lexicon", help="noun relatedness TSV")
-    common(sp, "corpus output directory")
+    sp.add_argument("--out", help="corpus output directory")
     sp.set_defaults(fn=cmd_ingest)
 
-    sp = sub.add_parser("synth", help="synthesize task JSONL files from a corpus")
+    sp = verb("synth", help="synthesize task JSONL files from a corpus")
     sp.add_argument("--corpus", required=True, help="corpus directory")
     sp.add_argument("--kinds", default="all", help="comma list of task kinds, or 'all'")
     sp.add_argument("--policy", choices=(EASY, HARD), default=EASY)
     sp.add_argument("--count", type=int, default=400, help="examples per kind")
-    common(sp, "task output directory")
+    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--out", help="task output directory")
     sp.set_defaults(fn=cmd_synth)
 
-    sp = sub.add_parser("train", help="train one run from a config file")
+    sp = verb("train", help="train one run from a config file")
     sp.add_argument("--resume", action="store_true", help="continue from the run checkpoint")
-    common(sp, "run directory (overrides config)")
+    sp.add_argument("--seed", type=int, help="run seed (overrides config)")
+    sp.add_argument("--out", help="run directory (overrides config)")
+    sp.add_argument("--config", help="run config INI")
     sp.set_defaults(fn=cmd_train)
 
-    sp = sub.add_parser("eval", help="re-evaluate a finished run directory")
+    sp = verb("eval", help="re-evaluate a finished run directory")
     sp.add_argument("--run", required=True, help="run directory")
-    common(sp)
     sp.set_defaults(fn=cmd_eval)
 
-    sp = sub.add_parser("score", help="score a predictions file against ground truth")
+    sp = verb("score", help="score a predictions file against ground truth")
     sp.add_argument("--predictions", required=True, help="JSONL of {id, prediction}")
     sp.add_argument("--truth", required=True, help="JSONL of {id, answers, kind, hidden?}")
-    common(sp, "report JSON path")
+    sp.add_argument("--out", help="report JSON path")
     sp.set_defaults(fn=cmd_score)
 
-    sp = sub.add_parser("gradcheck", help="finite-difference audit of kernels and model")
-    common(sp)
+    sp = verb("gradcheck", help="finite-difference audit of kernels and model")
+    sp.add_argument("--seed", type=int, default=0, help="first of five seeds")
     sp.set_defaults(fn=cmd_gradcheck)
 
-    sp = sub.add_parser("ablate", help="run a mixture/policy ablation grid")
+    sp = verb("ablate", help="run a mixture/policy ablation grid")
     sp.add_argument("--grid", required=True, help="|".join(sorted(GRIDS)))
     sp.add_argument("--seeds", type=int, default=3, help="number of seeds per variant")
-    common(sp, "grid output directory")
+    sp.add_argument("--out", help="grid output directory")
+    sp.add_argument("--jobs", type=int, default=1, help="worker processes")
+    sp.add_argument("--config", help="base run config INI")
     sp.set_defaults(fn=cmd_ablate)
 
-    sp = sub.add_parser("init-config", help="write a starter run config")
+    sp = verb("init-config", help="write a starter run config")
     sp.add_argument("path", nargs="?", default="run.ini", help="file path, or - for stdout")
-    common(sp)
+    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--out", help="run directory named in the config")
     sp.set_defaults(fn=cmd_init_config)
     return p
 
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    if args.fn is cmd_gradcheck and args.seed is None:
-        args.seed = 0
     try:
         return args.fn(args)
     except RUNTIME_FAULTS as e:

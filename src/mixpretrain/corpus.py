@@ -1,7 +1,7 @@
 """Corpus ingestion and synthesis.
 
-Readers for OpenImages-style annotation files (class descriptions, image-level
-labels, box labels) and Localized-Narratives-style caption JSONL, a deterministic
+Readers for OpenImages-style annotation files (class descriptions and
+image-level labels) and Localized-Narratives-style caption JSONL, a deterministic
 synthetic corpus generator (colored glyphs on a grid), and the noun lexicon used
 for hard-negative caption construction.  A corpus is immutable after build and
 serializes to a directory that round-trips through the same parsers.
@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-CORPUS_FORMAT_VERSION = "1"
+CORPUS_FORMAT_VERSION = "2"
 
 
 class ParseError(ValueError):
@@ -73,13 +73,6 @@ class ImageLabel:
 
 
 @dataclass(frozen=True)
-class BoxLabel:
-    image_id: str
-    class_id: str
-    box: tuple  # (x_min, y_min, x_max, y_max), normalized
-
-
-@dataclass(frozen=True)
 class CaptionRecord:
     image_id: str
     caption: str
@@ -103,7 +96,7 @@ class Lexicon:
 
 @dataclass
 class Corpus:
-    """Joined view over classes, images, labels, boxes and captions.
+    """Joined view over classes, images, image-level labels and captions.
 
     ``images`` maps every known image id to its pixel record, or None when the
     corpus was built without pixel data (label-only experiments).
@@ -114,7 +107,6 @@ class Corpus:
     classes: dict = field(default_factory=dict)  # class_id -> ClassEntry
     images: dict = field(default_factory=dict)  # image_id -> ImageRecord | None
     labels: dict = field(default_factory=dict)  # image_id -> [ImageLabel]
-    boxes: dict = field(default_factory=dict)  # image_id -> [BoxLabel]
     captions: dict = field(default_factory=dict)  # image_id -> [CaptionRecord]
     hidden_positives: dict = field(default_factory=dict)  # image_id -> set(class_id)
     dropped_records: int = 0
@@ -174,7 +166,6 @@ class Corpus:
             classes=self.classes,
             images={i: r for i, r in self.images.items() if i in keep},
             labels={i: v for i, v in self.labels.items() if i in keep},
-            boxes={i: v for i, v in self.boxes.items() if i in keep},
             captions={i: v for i, v in self.captions.items() if i in keep},
             hidden_positives={i: v for i, v in self.hidden_positives.items() if i in keep},
             dropped_records=0,
@@ -238,28 +229,6 @@ def parse_image_labels(stream):
                 verification="human" if "verification" in source else "machine",
             )
         )
-    return out
-
-
-def parse_box_labels(stream):
-    """CSV `image_id,class_id,x_min,x_max,y_min,y_max` -> list of BoxLabel."""
-    out = []
-    for lineno, row in _rows(stream):
-        if lineno == 1 and row and row[0].strip() == "ImageID":
-            continue
-        if len(row) != 6:
-            raise ParseError(f"line {lineno}: expected 6 columns, got {len(row)}")
-        image_id, class_id = row[0].strip(), row[1].strip()
-        try:
-            x_min, x_max, y_min, y_max = (float(c) for c in row[2:])
-        except ValueError:
-            raise ParseError(f"line {lineno}: non-numeric coordinate") from None
-        for v in (x_min, x_max, y_min, y_max):
-            if not (0.0 <= v <= 1.0):
-                raise ValidationError(f"row {lineno}: coordinate {v} outside [0,1]")
-        if x_min >= x_max or y_min >= y_max:
-            raise ValidationError(f"row {lineno}: degenerate box ({x_min},{x_max},{y_min},{y_max})")
-        out.append(BoxLabel(image_id=image_id, class_id=class_id, box=(x_min, y_min, x_max, y_max)))
     return out
 
 
@@ -329,17 +298,16 @@ def extract_nouns(caption, lexicon):
 # ---------------------------------------------------------------------------
 # corpus assembly
 
-def build_corpus(classes, labels=(), boxes=(), captions=(), images=(), hidden_positives=None, meta=None):
+def build_corpus(classes, labels=(), captions=(), images=(), hidden_positives=None, meta=None):
     """Join parsed annotation sources into a Corpus with referential integrity.
 
     The known-image universe is taken from `images` when pixel records exist,
-    else from caption ids, else from label/box ids (label-only corpora).
-    Labels/boxes/captions referencing unknown images are dropped and counted;
+    else from caption ids, else from label ids (label-only corpora).
+    Labels/captions referencing unknown images are dropped and counted;
     a class_id missing from the class table is fatal.
     """
     images = list(images)
     labels = list(labels)
-    boxes = list(boxes)
     captions = list(captions)
 
     if images:
@@ -347,18 +315,13 @@ def build_corpus(classes, labels=(), boxes=(), captions=(), images=(), hidden_po
     elif captions:
         known = {c.image_id for c in captions}
     else:
-        known = {l.image_id for l in labels} | {b.image_id for b in boxes}
+        known = {l.image_id for l in labels}
 
     dropped = 0
-    kept_labels, kept_boxes, kept_captions = [], [], []
+    kept_labels, kept_captions = [], []
     for l in labels:
         if l.image_id in known:
             kept_labels.append(l)
-        else:
-            dropped += 1
-    for b in boxes:
-        if b.image_id in known:
-            kept_boxes.append(b)
         else:
             dropped += 1
     for c in captions:
@@ -367,10 +330,7 @@ def build_corpus(classes, labels=(), boxes=(), captions=(), images=(), hidden_po
         else:
             dropped += 1
 
-    missing = sorted(
-        {r.class_id for r in kept_labels if r.class_id not in classes}
-        | {r.class_id for r in kept_boxes if r.class_id not in classes}
-    )
+    missing = sorted({r.class_id for r in kept_labels if r.class_id not in classes})
     if missing:
         raise BuildError(f"class ids not in class table: {', '.join(missing)}")
 
@@ -382,7 +342,6 @@ def build_corpus(classes, labels=(), boxes=(), captions=(), images=(), hidden_po
         classes=dict(classes),
         images=image_map,
         labels=_group(kept_labels),
-        boxes=_group(kept_boxes),
         captions=_group(kept_captions),
         hidden_positives={k: set(v) for k, v in (hidden_positives or {}).items() if k in known},
         dropped_records=dropped,
@@ -529,7 +488,7 @@ def synth_corpus(seed, n_images, object_vocab=None, grid=4, hidden_rate=0.0, cel
 
     rng = random.Random(seed)
     classes = {synth_class_id(n): ClassEntry(synth_class_id(n), n) for n in names}
-    images, labels, boxes, captions = [], [], [], []
+    images, labels, captions = [], [], []
     hidden = {}
 
     for i in range(n_images):
@@ -540,20 +499,13 @@ def synth_corpus(seed, n_images, object_vocab=None, grid=4, hidden_rate=0.0, cel
         placements = list(zip(placed, (c[0] for c in cells), (c[1] for c in cells)))
 
         labeled = []
-        for name, row, col in placements:
+        for name in placed:
             cid = synth_class_id(name)
             if rng.random() < hidden_rate:
                 hidden.setdefault(image_id, set()).add(cid)
                 continue
             labeled.append(name)
             labels.append(ImageLabel(image_id, cid, "positive", "human"))
-            boxes.append(
-                BoxLabel(
-                    image_id,
-                    cid,
-                    (col / grid, row / grid, (col + 1) / grid, (row + 1) / grid),
-                )
-            )
         for name in rng.sample([n for n in names if n not in placed], 2):
             labels.append(ImageLabel(image_id, synth_class_id(name), "negative", "human"))
 
@@ -563,7 +515,6 @@ def synth_corpus(seed, n_images, object_vocab=None, grid=4, hidden_rate=0.0, cel
     return build_corpus(
         classes,
         labels=labels,
-        boxes=boxes,
         captions=captions,
         images=images,
         hidden_positives=hidden,
@@ -590,13 +541,6 @@ def save_corpus(corpus, path, lexicon=None):
             for l in corpus.labels.get(image_id, []):
                 source = "verification" if l.verification == "human" else "machine"
                 w.writerow([l.image_id, source, l.class_id, 1 if l.presence == "positive" else 0])
-
-    with open(os.path.join(path, "box_labels.csv"), "w", newline="") as f:
-        w = csv.writer(f)
-        for image_id in corpus.image_ids():
-            for b in corpus.boxes.get(image_id, []):
-                x_min, y_min, x_max, y_max = b.box
-                w.writerow([b.image_id, b.class_id, repr(x_min), repr(x_max), repr(y_min), repr(y_max)])
 
     with open(os.path.join(path, "captions.jsonl"), "w") as f:
         for image_id in corpus.image_ids():
@@ -635,7 +579,6 @@ def save_corpus(corpus, path, lexicon=None):
             "images": len(corpus.images),
             "pixel_images": n_pixels,
             "labels": sum(len(v) for v in corpus.labels.values()),
-            "boxes": sum(len(v) for v in corpus.boxes.values()),
             "captions": corpus.n_captions(),
             "hidden_positives": sum(len(v) for v in corpus.hidden_positives.values()),
         },
@@ -669,8 +612,6 @@ def load_corpus(path):
         classes = parse_class_descriptions(f)
     with open(os.path.join(path, "image_labels.csv")) as f:
         labels = parse_image_labels(f)
-    with open(os.path.join(path, "box_labels.csv")) as f:
-        boxes = parse_box_labels(f)
     with open(os.path.join(path, "captions.jsonl")) as f:
         captions = parse_localized_narratives(f)
 
@@ -701,7 +642,6 @@ def load_corpus(path):
     corpus = build_corpus(
         classes,
         labels=labels,
-        boxes=boxes,
         captions=captions,
         images=images,
         hidden_positives=hidden,

@@ -427,7 +427,7 @@ class Model:
 
 def train(model, schedule, datasets, vocab, opt, images=None, start_step=0,
           metrics_path=None, checkpoint_path=None, checkpoint_every=0,
-          hooks=(), vocab_fingerprint=None, corpus_fingerprint=None):
+          vocab_fingerprint=None, corpus_fingerprint=None):
     """Run schedule entries [start_step:] in order.  Returns metrics history.
 
     ``datasets`` maps component name -> list of TaskExample; ``images`` maps
@@ -456,9 +456,6 @@ def train(model, schedule, datasets, vocab, opt, images=None, start_step=0,
             history.append(rec)
             if mfile:
                 mfile.write(json.dumps(rec) + "\n")
-            for interval, fn in hooks:
-                if (entry.step + 1) % interval == 0:
-                    fn(model, entry.step, history)
             if checkpoint_path and checkpoint_every and (entry.step + 1) % checkpoint_every == 0:
                 save_checkpoint(checkpoint_state(model, opt, entry.step + 1,
                                                  vocab_fingerprint, corpus_fingerprint),
@@ -488,11 +485,9 @@ class CheckpointState:
     step: int
     vocab_fingerprint: str = ""
     corpus_fingerprint: str = ""
-    rng_state: object = None
 
 
-def checkpoint_state(model, opt, step, vocab_fingerprint=None, corpus_fingerprint=None,
-                     rng_state=None):
+def checkpoint_state(model, opt, step, vocab_fingerprint=None, corpus_fingerprint=None):
     arrays = {name: p.data for name, p in model.params.items()}
     for name in model.params:
         if name in opt.m:
@@ -505,7 +500,6 @@ def checkpoint_state(model, opt, step, vocab_fingerprint=None, corpus_fingerprin
         step=step,
         vocab_fingerprint=vocab_fingerprint or "",
         corpus_fingerprint=corpus_fingerprint or "",
-        rng_state=rng_state,
     )
 
 
@@ -523,7 +517,6 @@ def save_checkpoint(state, path):
         "step": state.step,
         "vocab_fingerprint": state.vocab_fingerprint,
         "corpus_fingerprint": state.corpus_fingerprint,
-        "rng_state": state.rng_state,
         "payload_sha256": hashlib.sha256(payload).hexdigest(),
     }
     hb = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
@@ -564,7 +557,6 @@ def load_checkpoint(path):
         step=header["step"],
         vocab_fingerprint=header["vocab_fingerprint"],
         corpus_fingerprint=header["corpus_fingerprint"],
-        rng_state=header["rng_state"],
     )
 
 

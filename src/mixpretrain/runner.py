@@ -16,6 +16,7 @@ import time
 import numpy as np
 
 from . import load_bundled_lexicon
+from . import nnkernel as K
 from .config import RunConfig, render_config
 from .corpus import ConfigError, load_corpus, synth_corpus
 from .evalkit import evaluate, write_predictions
@@ -226,11 +227,9 @@ def load_run_report(run_dir):
 # ---------------------------------------------------------------------------
 # gradient diagnostics
 
-def gradcheck_suite(seeds=(0, 1, 2, 3, 4), n_samples=6, include_model=True):
+def gradcheck_suite(seeds=(0, 1, 2, 3, 4)):
     """Central-difference check of every differentiable kernel op plus a full
     d_model=8 model, in float64.  Returns {case: worst relative error}."""
-    from . import nnkernel as K
-
     def t64(rng, *shape):
         return K.Tensor(rng.normal(size=shape), requires_grad=True)
 
@@ -279,25 +278,24 @@ def gradcheck_suite(seeds=(0, 1, 2, 3, 4), n_samples=6, include_model=True):
     for seed in seeds:
         rng = np.random.default_rng(seed)
         for name, make_loss, leaves in cases(rng):
-            err = K.finite_difference_check(make_loss, leaves, n_samples=n_samples, seed=seed)
+            err = K.finite_difference_check(make_loss, leaves, n_samples=6, seed=seed)
             worst[name] = max(worst.get(name, 0.0), err)
 
-    if include_model:
-        cfg = ModelConfig(vocab_size=24, d_model=8, n_heads=2, n_encoder_layers=2,
-                          n_decoder_layers=2, d_ff=16, patch=4, image_size=8,
-                          max_prompt=6, max_target=5)
-        for seed in seeds:
-            rng = np.random.default_rng(seed)
-            model = Model(cfg, seed=seed, dtype=np.float64)
-            images = rng.uniform(size=(2, 8, 8, 3))
-            prompts = rng.integers(3, 24, size=(2, 6))
-            targets = rng.integers(3, 24, size=(2, 5))
+    cfg = ModelConfig(vocab_size=24, d_model=8, n_heads=2, n_encoder_layers=2,
+                      n_decoder_layers=2, d_ff=16, patch=4, image_size=8,
+                      max_prompt=6, max_target=5)
+    for seed in seeds:
+        rng = np.random.default_rng(seed)
+        model = Model(cfg, seed=seed, dtype=np.float64)
+        images = rng.uniform(size=(2, 8, 8, 3))
+        prompts = rng.integers(3, 24, size=(2, 6))
+        targets = rng.integers(3, 24, size=(2, 5))
 
-            def make_loss():
-                return model.forward(images, prompts, targets)[1]
+        def make_loss():
+            return model.forward(images, prompts, targets)[1]
 
-            leaves = [p.value for p in model.parameters()]
-            err = K.finite_difference_check(make_loss, leaves, n_samples=2, seed=seed,
-                                            h_fallback=1e-7)
-            worst["model_d8"] = max(worst.get("model_d8", 0.0), err)
+        leaves = [p.value for p in model.parameters()]
+        err = K.finite_difference_check(make_loss, leaves, n_samples=2, seed=seed,
+                                        h_fallback=1e-7)
+        worst["model_d8"] = max(worst.get("model_d8", 0.0), err)
     return worst

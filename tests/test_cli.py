@@ -15,7 +15,7 @@ from mixpretrain.ablate import (
     variant_metrics,
     write_easy_hard_csv,
 )
-from mixpretrain.cli import main
+from mixpretrain.cli import build_parser, main
 from mixpretrain.config import (
     default_config_text,
     load_run_config,
@@ -363,6 +363,35 @@ def test_cli_init_config(tmp_path, capsys):
     capsys.readouterr()
 
 
+# each verb with its required arguments, and the shared-name flags it reads
+VERB_ARGS = {
+    "ingest": (["--classes", "c.csv"], {"--out"}),
+    "synth": (["--corpus", "c"], {"--seed", "--out"}),
+    "train": ([], {"--seed", "--out", "--config"}),
+    "eval": (["--run", "r"], set()),
+    "score": (["--predictions", "p.jsonl", "--truth", "t.jsonl"], {"--out"}),
+    "gradcheck": ([], {"--seed"}),
+    "ablate": (["--grid", "paper-table1"], {"--out", "--jobs", "--config"}),
+    "init-config": ([], {"--seed", "--out"}),
+}
+FLAG_VALUES = {"--seed": "7", "--out": "o", "--jobs": "2", "--config": "c.ini", "--boxes": "b.csv"}
+
+
+@pytest.mark.parametrize("verb", sorted(VERB_ARGS))
+@pytest.mark.parametrize("flag", sorted(FLAG_VALUES))
+def test_cli_verb_takes_only_flags_it_reads(verb, flag, capsys):
+    required, reads = VERB_ARGS[verb]
+    argv = [verb, *required, flag, FLAG_VALUES[flag]]
+    if flag in reads:
+        args = build_parser().parse_args(argv)
+        assert str(getattr(args, flag[2:])) == FLAG_VALUES[flag]
+    else:
+        with pytest.raises(SystemExit) as e:
+            build_parser().parse_args(argv)
+        assert e.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
 def test_cli_bad_grid_name(capsys):
     rc = main(["ablate", "--grid", "paper-table9", "--out", "/tmp/nope"])
     assert rc == 2
@@ -447,9 +476,18 @@ def test_grid_reuses_complete_runs(micro_grid):
 def test_grid_parallel_matches_serial(micro_grid, tmp_path):
     out, base, grid, summary = micro_grid
     out2 = str(tmp_path / "par")
-    s2 = run_grid(grid, base, out2, seeds=(0, 1), jobs=2, eval_kinds=["oa_exists"])
+    cells = [f"  {name} seed{seed}: done" for name, _, _ in grid for seed in (0, 1)]
+    logged = []
+    s2 = run_grid(grid, base, out2, seeds=(0, 1), jobs=2, eval_kinds=["oa_exists"],
+                  log=logged.append)
     assert s2["variants"]["oa_exists_easy"]["aggregate"] == \
         summary["variants"]["oa_exists_easy"]["aggregate"]
+    assert logged[1:] == cells
+    # the serial path (reusing the finished runs) logs the same cells
+    logged.clear()
+    run_grid(grid, base, out2, seeds=(0, 1), jobs=1, eval_kinds=["oa_exists"],
+             log=logged.append)
+    assert logged[1:] == cells
 
 
 def test_grid_failed_variant_marks_row(micro_grid, tmp_path, monkeypatch):

@@ -10,7 +10,6 @@ import pytest
 
 from mixpretrain import corpus as C
 from mixpretrain.corpus import (
-    BoxLabel,
     BuildError,
     CaptionRecord,
     ClassEntry,
@@ -18,12 +17,10 @@ from mixpretrain.corpus import (
     ImageLabel,
     ImageRecord,
     ParseError,
-    ValidationError,
     build_corpus,
     build_lexicon,
     extract_nouns,
     lines,
-    parse_box_labels,
     parse_class_descriptions,
     parse_image_labels,
     parse_localized_narratives,
@@ -98,35 +95,6 @@ def test_image_labels_non_numeric_confidence_rejected():
 def test_image_labels_column_count():
     with pytest.raises(ParseError, match="4 columns"):
         parse_image_labels(lines("img1,machine,/m/x\n"))
-
-
-# ---------------------------------------------------------------------------
-# box labels
-
-def test_box_labels_column_order():
-    # input column order is x_min,x_max,y_min,y_max; stored as (x_min,y_min,x_max,y_max)
-    (b,) = parse_box_labels(lines("img1,/m/0bt9lr,0.1,0.5,0.2,0.6\n"))
-    assert b == BoxLabel("img1", "/m/0bt9lr", (0.1, 0.2, 0.5, 0.6))
-
-
-def test_box_labels_out_of_range():
-    with pytest.raises(ValidationError, match="outside"):
-        parse_box_labels(lines("img1,/m/x,0.1,1.2,0.2,0.6\n"))
-
-
-def test_box_labels_degenerate():
-    with pytest.raises(ValidationError, match="degenerate"):
-        parse_box_labels(lines("img1,/m/x,0.5,0.5,0.2,0.6\n"))
-
-
-def test_box_labels_inverted():
-    with pytest.raises(ValidationError):
-        parse_box_labels(lines("img1,/m/x,0.7,0.2,0.2,0.6\n"))
-
-
-def test_box_labels_non_numeric():
-    with pytest.raises(ParseError):
-        parse_box_labels(lines("img1,/m/x,a,b,c,d\n"))
 
 
 # ---------------------------------------------------------------------------
@@ -309,15 +277,6 @@ def test_synth_caption_mentions_exactly_labeled_positives(small_corpus):
         assert mentioned == small_corpus.positive_names(i)
 
 
-def test_synth_every_positive_has_a_box(small_corpus):
-    for i in small_corpus.image_ids():
-        boxed = {b.class_id for b in small_corpus.boxes.get(i, [])}
-        assert boxed == set(small_corpus.positive_class_ids(i))
-        for b in small_corpus.boxes.get(i, []):
-            x0, y0, x1, y1 = b.box
-            assert 0.0 <= x0 < x1 <= 1.0 and 0.0 <= y0 < y1 <= 1.0
-
-
 def test_synth_two_true_negatives_per_image(hidden_corpus):
     for i in hidden_corpus.image_ids():
         negs = [l for l in hidden_corpus.labels[i] if l.presence == "negative"]
@@ -382,9 +341,15 @@ def test_save_load_round_trip(tmp_path, hidden_corpus, lexicon):
     C.save_corpus(hidden_corpus, str(d1), lexicon=lexicon)
     loaded, lex2 = C.load_corpus(str(d1))
 
+    assert sorted(os.listdir(d1)) == [
+        "captions.jsonl", "class_descriptions.csv", "hidden_positives.json",
+        "image_labels.csv", "lexicon.tsv", "manifest.json", "pixels"]
+    manifest = json.loads((d1 / "manifest.json").read_text())
+    assert manifest["format_version"] == "2"
+    assert sorted(manifest["counts"]) == [
+        "captions", "classes", "hidden_positives", "images", "labels", "pixel_images"]
     assert loaded.classes == hidden_corpus.classes
     assert loaded.labels == hidden_corpus.labels
-    assert loaded.boxes == hidden_corpus.boxes
     assert loaded.captions == hidden_corpus.captions
     assert loaded.hidden_positives == hidden_corpus.hidden_positives
     assert loaded.meta == hidden_corpus.meta
@@ -399,14 +364,16 @@ def test_save_load_round_trip(tmp_path, hidden_corpus, lexicon):
 
 
 def test_load_rejects_future_format(tmp_path, small_corpus):
+    # "1" is the retired format that still carried box_labels.csv
     d = tmp_path / "c"
     C.save_corpus(small_corpus, str(d))
     mpath = d / "manifest.json"
     manifest = json.loads(mpath.read_text())
-    manifest["format_version"] = "99"
-    mpath.write_text(json.dumps(manifest))
-    with pytest.raises(ParseError, match="version"):
-        C.load_corpus(str(d))
+    for version in ("99", "1"):
+        manifest["format_version"] = version
+        mpath.write_text(json.dumps(manifest))
+        with pytest.raises(ParseError, match=f"version '{version}'"):
+            C.load_corpus(str(d))
 
 
 def test_pixel_file_layout(tmp_path, small_corpus):

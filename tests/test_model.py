@@ -411,6 +411,7 @@ def test_checkpoint_corrupted_payload(tmp_path):
 
 
 def test_checkpoint_version_gate(tmp_path):
+    # headers written before rng_state was dropped carry "rng_state": null and still load
     import struct as _struct
 
     corp, datasets, sched, vocab, model, images = _train_setup(1)
@@ -419,11 +420,19 @@ def test_checkpoint_version_gate(tmp_path):
     blob = open(p, "rb").read()
     (hlen,) = _struct.unpack("<I", blob[4:8])
     header = json.loads(blob[8 : 8 + hlen])
-    header["version"] = "0"
-    hb = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
-    open(p, "wb").write(b"MPT1" + _struct.pack("<I", len(hb)) + hb + blob[8 + hlen :])
+    assert "rng_state" not in header
+
+    def rewrite(**edit):
+        hb = json.dumps({**header, **edit}, sort_keys=True, separators=(",", ":")).encode()
+        open(p, "wb").write(b"MPT1" + _struct.pack("<I", len(hb)) + hb + blob[8 + hlen :])
+
+    rewrite(version="0")
     with pytest.raises(VersionError, match="'0'"):
         load_checkpoint(p)
+    rewrite(rng_state=None)
+    restored, _ = restore_model(load_checkpoint(p))
+    for name, param in model.params.items():
+        assert np.array_equal(restored.params[name].data, param.data), name
 
 
 def test_restore_model_rejects_missing_array(tmp_path):
