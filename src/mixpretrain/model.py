@@ -12,9 +12,11 @@ embedding transposed.
 from __future__ import annotations
 
 import collections
+import contextlib
 import dataclasses
 import hashlib
 import json
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -245,9 +247,6 @@ class Model:
     def _t(self, name):
         return self.params[name].value
 
-    def n_params(self):
-        return sum(p.data.size for p in self.params.values())
-
     def zero_grads(self):
         for p in self.params.values():
             p.zero_grad()
@@ -438,7 +437,7 @@ def train(model, schedule, datasets, vocab, opt, images=None, start_step=0,
     """
     limits = (model.cfg.max_prompt, model.cfg.max_target)
     history = []
-    mfile = open(metrics_path, "a" if start_step else "w") if metrics_path else None
+    mfile = _open_metrics(metrics_path, start_step) if metrics_path else None
     try:
         for entry in schedule:
             if entry.step < start_step:
@@ -468,6 +467,20 @@ def train(model, schedule, datasets, vocab, opt, images=None, start_step=0,
         save_checkpoint(checkpoint_state(model, opt, last, vocab_fingerprint, corpus_fingerprint),
                         checkpoint_path)
     return history
+
+
+def _open_metrics(path, start_step):
+    """Open the metrics log for writing steps from ``start_step`` on.  A
+    resumed run keeps only the complete lines of earlier steps, so steps
+    logged after the checkpoint it resumes from are not logged twice."""
+    kept = []
+    if start_step and os.path.exists(path):
+        with open(path) as f:
+            kept = [line for line in f
+                    if line.endswith("\n") and json.loads(line)["step"] < start_step]
+    out = open(path, "w")
+    out.writelines(kept)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -520,11 +533,20 @@ def save_checkpoint(state, path):
         "payload_sha256": hashlib.sha256(payload).hexdigest(),
     }
     hb = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
-    with open(path, "wb") as f:
-        f.write(CKPT_MAGIC)
-        f.write(struct.pack("<I", len(hb)))
-        f.write(hb)
-        f.write(payload)
+    # written beside the target and renamed over it, so a failed write leaves
+    # the previous checkpoint in place
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "wb") as f:
+            f.write(CKPT_MAGIC)
+            f.write(struct.pack("<I", len(hb)))
+            f.write(hb)
+            f.write(payload)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 def load_checkpoint(path):

@@ -5,6 +5,12 @@ parents and a closure that pushes gradients back to them.  Training runs in
 float32; gradient checks run the same graph in float64 (ops inherit the dtype
 of their inputs).  Single-threaded per tape; no in-place mutation of produced
 values outside the optimizer.
+
+``adam_step`` keeps parameters, moments and gradients in one flat buffer each.
+From the first step on, every ``Parameter.data`` and ``AdamState.m``/``v``
+entry it updates is a view into those buffers; a binding that is replaced
+(``restore_model`` builds fresh arrays) is copied into new buffers on the
+next step.
 """
 
 from __future__ import annotations
@@ -69,12 +75,6 @@ class Tensor:
     def __add__(self, other):
         return add(self, other)
 
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
 
 def _as_tensor(x):
     return x if isinstance(x, Tensor) else Tensor(np.asarray(x))
@@ -114,8 +114,10 @@ def add(a, b):
     out_data = a.data + b.data
 
     def backward(g):
-        _accum(a, _unbroadcast(g, a.data.shape))
-        _accum(b, _unbroadcast(g, b.data.shape))
+        if a.requires_grad:
+            _accum(a, _unbroadcast(g, a.data.shape))
+        if b.requires_grad:
+            _accum(b, _unbroadcast(g, b.data.shape))
 
     return _make(out_data, (a, b), backward)
 
@@ -125,8 +127,10 @@ def mul(a, b):
     out_data = a.data * b.data
 
     def backward(g):
-        _accum(a, _unbroadcast(g * b.data, a.data.shape))
-        _accum(b, _unbroadcast(g * a.data, b.data.shape))
+        if a.requires_grad:
+            _accum(a, _unbroadcast(g * b.data, a.data.shape))
+        if b.requires_grad:
+            _accum(b, _unbroadcast(g * a.data, b.data.shape))
 
     return _make(out_data, (a, b), backward)
 
@@ -143,16 +147,33 @@ def scale(x, c):
 
 
 def matmul(a, b):
+    """``a @ b``.  With a 2-D ``b`` (a weight), the leading axes of ``a`` are
+    flattened into rows, so the forward pass and both gradients are single
+    2-D GEMMs; the weight gradient needs no batched product summed away."""
     a, b = _as_tensor(a), _as_tensor(b)
     if a.data.ndim < 2 or b.data.ndim < 2 or a.data.shape[-1] != b.data.shape[-2]:
         raise ShapeError(f"matmul: {a.data.shape} @ {b.data.shape}")
+    if b.data.ndim == 2:
+        d, e = b.data.shape
+        a2 = a.data.reshape(-1, d)
+        out_data = (a2 @ b.data).reshape(a.data.shape[:-1] + (e,))
+
+        def backward(g):
+            g2 = g.reshape(-1, e)
+            if a.requires_grad:
+                _accum(a, (g2 @ b.data.T).reshape(a.data.shape))
+            if b.requires_grad:
+                _accum(b, a2.T @ g2)
+
+        return _make(out_data, (a, b), backward)
+
     out_data = a.data @ b.data
 
     def backward(g):
-        ga = g @ np.swapaxes(b.data, -1, -2)
-        gb = np.swapaxes(a.data, -1, -2) @ g
-        _accum(a, _unbroadcast(ga, a.data.shape))
-        _accum(b, _unbroadcast(gb, b.data.shape))
+        if a.requires_grad:
+            _accum(a, _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape))
+        if b.requires_grad:
+            _accum(b, _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape))
 
     return _make(out_data, (a, b), backward)
 
@@ -236,20 +257,23 @@ LN_EPS = 1e-6
 def layer_norm(x, gain, bias, eps=LN_EPS):
     """Normalize the last axis to zero mean / unit variance, then affine."""
     x, gain, bias = _as_tensor(x), _as_tensor(gain), _as_tensor(bias)
-    mu = x.data.mean(axis=-1, keepdims=True)
-    var = x.data.var(axis=-1, keepdims=True)
+    centred = x.data - x.data.mean(axis=-1, keepdims=True)
+    var = (centred * centred).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mu) * inv
+    xhat = centred * inv
     out_data = xhat * gain.data + bias.data
 
     def backward(g):
-        n = x.data.shape[-1]
-        gx_hat = g * gain.data
-        # d xhat / dx folded analytically
-        gx = inv / n * (n * gx_hat - gx_hat.sum(-1, keepdims=True) - xhat * (gx_hat * xhat).sum(-1, keepdims=True))
-        _accum(x, gx)
-        _accum(gain, _unbroadcast(g * xhat, gain.data.shape))
-        _accum(bias, _unbroadcast(g, bias.data.shape))
+        if x.requires_grad:
+            n = x.data.shape[-1]
+            gx_hat = g * gain.data
+            # d xhat / dx folded analytically
+            _accum(x, inv / n * (n * gx_hat - gx_hat.sum(-1, keepdims=True)
+                                 - xhat * (gx_hat * xhat).sum(-1, keepdims=True)))
+        if gain.requires_grad:
+            _accum(gain, _unbroadcast(g * xhat, gain.data.shape))
+        if bias.requires_grad:
+            _accum(bias, _unbroadcast(g, bias.data.shape))
 
     return _make(out_data, (x, gain, bias), backward)
 
@@ -407,27 +431,92 @@ class AdamState:
     step: int = 0
     m: dict = field(default_factory=dict)
     v: dict = field(default_factory=dict)
+    flat: "_FlatAdam | None" = field(default=None, repr=False, compare=False)
+
+
+class _FlatAdam:
+    """Parameters, moments and gradients of one fixed parameter list, each in
+    one flat buffer, plus two scratch buffers for the update.
+
+    Built from copies of the current arrays; ``bind`` then makes every
+    ``p.data`` and moment a view into the buffers, so one in-place update
+    moves them all."""
+
+    def __init__(self, params, state):
+        dtype = params[0].data.dtype
+        if any(p.data.dtype != dtype for p in params):
+            raise OptimizerError("adam_step: parameters of mixed dtypes")
+        self.params = params
+        sizes = [p.data.size for p in params]
+        ends = np.cumsum(sizes).tolist()
+        self.spans = list(zip([0] + ends[:-1], ends))
+        n = ends[-1]
+
+        def gather(arrays):
+            return np.concatenate([np.asarray(a, dtype=dtype).reshape(-1) for a in arrays])
+
+        self.w = gather(p.data for p in params)
+        self.m = gather(state.m.get(p.name, np.zeros(p.data.size, dtype)) for p in params)
+        self.v = gather(state.v.get(p.name, np.zeros(p.data.size, dtype)) for p in params)
+        self.g = np.empty(n, dtype)
+        self.s1 = np.empty(n, dtype)
+        self.s2 = np.empty(n, dtype)
+        self.finite = np.empty(n, bool)
+        self.views = [tuple(buf[lo:hi].reshape(p.data.shape) for buf in (self.w, self.m, self.v))
+                      for p, (lo, hi) in zip(params, self.spans)]
+
+    def bound(self, params, state):
+        """True when ``params`` is this list and each binding is still its view."""
+        return len(params) == len(self.params) and all(
+            p is q and p.data is w and state.m.get(p.name) is m and state.v.get(p.name) is v
+            for p, q, (w, m, v) in zip(params, self.params, self.views))
+
+    def bind(self, state):
+        for p, (w, m, v) in zip(self.params, self.views):
+            p.data, state.m[p.name], state.v[p.name] = w, m, v
 
 
 def adam_step(params, state):
-    """Bias-corrected adaptive-moment update over named parameters."""
+    """Bias-corrected adaptive-moment update over named parameters.
+
+    Parameters whose grad is None are skipped.  The others are updated
+    together in flat buffers (see ``_FlatAdam``); a non-finite gradient
+    raises before anything is changed.
+    """
+    live = [p for p in params if p.grad is not None]
+    if not live:
+        state.step += 1
+        return
+    flat = state.flat
+    fresh = flat is None or not flat.bound(live, state)
+    if fresh:
+        flat = state.flat = _FlatAdam(live, state)
+    g, m, v, s1, s2 = flat.g, flat.m, flat.v, flat.s1, flat.s2
+    np.concatenate([p.grad.reshape(-1) for p in live], out=g)
+    if not np.isfinite(g, out=flat.finite).all():
+        bad = next(p for p, (lo, hi) in zip(live, flat.spans) if not flat.finite[lo:hi].all())
+        raise OptimizerError(f"non-finite gradient in {bad.name}")
+    if fresh:
+        flat.bind(state)
     state.step += 1
     t = state.step
-    for p in params:
-        g = p.grad
-        if g is None:
-            continue
-        if not np.all(np.isfinite(g)):
-            raise OptimizerError(f"non-finite gradient in {p.name}")
-        if p.name not in state.m:
-            state.m[p.name] = np.zeros_like(p.data)
-            state.v[p.name] = np.zeros_like(p.data)
-        m, v = state.m[p.name], state.v[p.name]
-        m += (1.0 - state.beta1) * (g - m)
-        v += (1.0 - state.beta2) * (g * g - v)
-        mhat = m / (1.0 - state.beta1**t)
-        vhat = v / (1.0 - state.beta2**t)
-        p.data -= (state.lr * mhat / (np.sqrt(vhat) + state.eps)).astype(p.data.dtype, copy=False)
+    # m += (1 - beta1) * (g - m)
+    np.subtract(g, m, out=s1)
+    s1 *= 1.0 - state.beta1
+    m += s1
+    # v += (1 - beta2) * (g * g - v)
+    np.multiply(g, g, out=s1)
+    s1 -= v
+    s1 *= 1.0 - state.beta2
+    v += s1
+    # w -= lr * mhat / (sqrt(vhat) + eps)
+    np.divide(m, 1.0 - state.beta1**t, out=s1)
+    s1 *= state.lr
+    np.divide(v, 1.0 - state.beta2**t, out=s2)
+    np.sqrt(s2, out=s2)
+    s2 += state.eps
+    s1 /= s2
+    flat.w -= s1
 
 
 # ---------------------------------------------------------------------------

@@ -218,6 +218,36 @@ def test_resume_of_finished_run_is_stable(micro_run):
         assert f.read() == before
 
 
+def test_resume_after_crash_logs_each_step_once(micro_run, tmp_path, monkeypatch):
+    from mixpretrain import model as M
+    from mixpretrain.model import TrainingError
+
+    out = str(tmp_path / "crashed")
+    ini = tmp_path / "run.ini"
+    ini.write_text(MICRO_INI.format(out=out).replace("[train]\n", "[train]\ncheckpoint_every = 10\n"))
+    real = M.adam_step
+    steps = []
+
+    def crash_at_15(params, state):
+        if len(steps) == 15:
+            raise TrainingError("simulated crash at step 15")
+        steps.append(state.step)
+        real(params, state)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(M, "adam_step", crash_at_15)
+        assert main(["train", "--config", str(ini)]) == 3
+    with open(os.path.join(out, "metrics.jsonl")) as f:
+        assert len(f.readlines()) == 15
+    assert main(["train", "--config", str(ini), "--resume"]) == 0
+    with open(os.path.join(out, "metrics.jsonl")) as f:
+        resumed = f.read()
+    assert [json.loads(line)["step"] for line in resumed.splitlines()] == list(range(25))
+    cfg, _ = micro_run  # the same run without the crash logs the same bytes
+    with open(os.path.join(cfg.out, "metrics.jsonl")) as f:
+        assert resumed == f.read()
+
+
 # ---------------------------------------------------------------------------
 # gradient suite
 

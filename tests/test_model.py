@@ -26,7 +26,7 @@ from mixpretrain.model import (
     save_checkpoint,
     train,
 )
-from mixpretrain.nnkernel import AdamState, ShapeError, finite_difference_check, no_grad
+from mixpretrain.nnkernel import AdamState, ShapeError, adam_step, finite_difference_check, no_grad
 from mixpretrain.tasksynth import SynthConfig, TaskExample, TaskKind, synth_dataset
 
 
@@ -309,6 +309,55 @@ def test_end_to_end_gradient_check():
     assert err < 1e-4, f"rel err {err:.3e}"
 
 
+# Every tape op a training step calls.  The composites build their output
+# from other ops, so the closure on it belongs to an inner op.
+TAPE_OPS = ("add", "scale", "matmul", "relu", "embedding", "reshape", "transpose", "concat",
+            "softmax", "layer_norm", "attention", "conv_patchify", "cross_entropy_masked")
+COMPOSITE_OPS = ("attention", "conv_patchify")
+TAPE_NODES_PER_STEP = 172  # two encoder and two decoder layers, as in criterion 8
+
+
+def test_training_step_tape_contract(monkeypatch):
+    # the benchmark times these ops by wrapping them where the package looks
+    # them up; a step that stops calling one, or builds more or fewer tape
+    # nodes, changes what the benchmark reports
+    from mixpretrain import model as M
+    from mixpretrain import nnkernel as K
+
+    calls = dict.fromkeys(TAPE_OPS, 0)
+    nodes = dict.fromkeys(TAPE_OPS, 0)
+    seen = set()
+
+    def wrap(op, fn):
+        def wrapper(*args, **kwargs):
+            out = fn(*args, **kwargs)
+            calls[op] += 1
+            if out._backward is not None and out._backward not in seen:
+                seen.add(out._backward)
+                nodes[op] += 1
+            return out
+        return wrapper
+
+    for op in TAPE_OPS:
+        wrapped = wrap(op, getattr(K, op))
+        for mod in (K, M):
+            if hasattr(mod, op):
+                monkeypatch.setattr(mod, op, wrapped)
+
+    corp, exs, vocab, small, images = _tiny_setup()
+    model = Model(dataclasses.replace(small.cfg, n_encoder_layers=2, n_decoder_layers=2))
+    datasets = {"caption": [e for e in exs if e.kind == TaskKind.CAPTION]}
+    sched = build_schedule(MixtureSpec.equal(["caption"]),
+                           ScheduleConfig(total_steps=1, batch_size=4, seed=1),
+                           {"caption": len(datasets["caption"])})
+    train(model, sched, datasets, vocab, AdamState(lr=1e-3), images=images)
+
+    assert [op for op in TAPE_OPS if not calls[op]] == []
+    assert [op for op in TAPE_OPS if op not in COMPOSITE_OPS and not nodes[op]] == []
+    assert [op for op in COMPOSITE_OPS if nodes[op]] == []
+    assert sum(nodes.values()) == TAPE_NODES_PER_STEP, nodes
+
+
 # ---------------------------------------------------------------------------
 # training
 
@@ -373,8 +422,77 @@ def test_train_resume_bitwise(tmp_path):
         assert model_a.params[name].data.tobytes() == model_c.params[name].data.tobytes(), name
 
 
+def test_flat_adam_matches_per_parameter_reference(tmp_path):
+    # criterion-8 shapes; gradients drawn at random, so no tape is needed
+    from test_nnkernel import _adam_reference
+
+    cfg = ModelConfig(vocab_size=300, d_model=64, n_heads=4, n_encoder_layers=2,
+                      n_decoder_layers=2, d_ff=256, patch=8, image_size=24,
+                      max_prompt=20, max_target=16)
+    model, opt = Model(cfg, seed=0), AdamState(lr=2e-3)
+    ref = {name: p.data.copy() for name, p in model.params.items()}
+    ref_m, ref_v = {}, {}
+    rng = np.random.default_rng(0)
+    ck = str(tmp_path / "ck.mpt")
+    for step in range(1, 51):
+        grads = {name: (rng.normal(size=p.data.shape) * 0.01).astype(np.float32)
+                 for name, p in model.params.items()}
+        for name, p in model.params.items():
+            p.value.grad = grads[name]
+        adam_step(model.parameters(), opt)
+        _adam_reference(ref, grads, ref_m, ref_v, step, 2e-3)
+        if step == 10:  # a rebound parameter and moment are adopted again
+            model.params["enc0.ff.w1"].data = model.params["enc0.ff.w1"].data.copy()
+            opt.m["dec1.cross.wq"] = opt.m["dec1.cross.wq"].copy()
+        if step == 25:
+            save_checkpoint(checkpoint_state(model, opt, step), ck)
+            model, opt = restore_model(load_checkpoint(ck))
+    assert opt.step == 50
+    for name, p in model.params.items():
+        assert p.data.tobytes() == ref[name].tobytes(), name
+        assert opt.m[name].tobytes() == ref_m[name].tobytes(), name
+        assert opt.v[name].tobytes() == ref_v[name].tobytes(), name
+
+
 # ---------------------------------------------------------------------------
 # checkpoint format
+
+class _DiskFull:
+    """A file whose third write fails, as on a full disk."""
+
+    def __init__(self, f):
+        self.f, self.writes = f, 0
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.f.close()
+
+    def write(self, blob):
+        self.writes += 1
+        if self.writes > 2:
+            raise OSError(28, "No space left on device")
+        return self.f.write(blob)
+
+
+def test_failed_checkpoint_write_keeps_previous(tmp_path, monkeypatch):
+    from mixpretrain import model as M
+
+    corp, datasets, sched, vocab, model, images = _train_setup(2)
+    opt = AdamState(lr=1e-3)
+    p = str(tmp_path / "ck.mpt")
+    save_checkpoint(checkpoint_state(model, opt, 0), p)
+    before = open(p, "rb").read()
+    train(model, sched, datasets, vocab, opt, images=images)
+    with monkeypatch.context() as mp:
+        mp.setattr(M, "open", lambda *a, **k: _DiskFull(open(*a, **k)), raising=False)
+        with pytest.raises(OSError, match="No space"):
+            save_checkpoint(checkpoint_state(model, opt, 2), p)
+    assert open(p, "rb").read() == before
+    assert load_checkpoint(p).step == 0
+    assert os.listdir(tmp_path) == ["ck.mpt"]
+
 
 def test_checkpoint_round_trip_bitwise(tmp_path):
     corp, datasets, sched, vocab, model, images = _train_setup(3)

@@ -13,6 +13,7 @@ from mixpretrain.nnkernel import (
     ShapeError,
     Tensor,
     adam_step,
+    add,
     attention,
     backward,
     concat,
@@ -22,6 +23,7 @@ from mixpretrain.nnkernel import (
     finite_difference_check,
     layer_norm,
     matmul,
+    mul,
     no_grad,
     relu,
     reshape,
@@ -197,13 +199,13 @@ def test_stability_large_magnitudes():
 
 def test_scalar_product_rule():
     x, y = t64(3.0), t64(4.0)
-    backward(x * y)
+    backward(mul(x, y))
     assert x.grad == 4.0 and y.grad == 3.0
 
 
 def test_backward_requires_scalar():
     with pytest.raises(ValueError, match="scalar"):
-        backward(t64([1.0, 2.0]) * t64([3.0, 4.0]))
+        backward(mul(t64([1.0, 2.0]), t64([3.0, 4.0])))
 
 
 def test_repeated_backward_accumulates():
@@ -221,7 +223,7 @@ def test_repeated_backward_accumulates():
 def test_diamond_graph_accumulation():
     # y = x*x + x: dy/dx = 2x + 1
     x = t64(3.0)
-    y = (x * x) + x
+    y = mul(x, x) + x
     backward(y)
     assert abs(float(x.grad) - 7.0) < 1e-12
 
@@ -239,7 +241,7 @@ def test_zero_masked_targets_get_zero_grad():
 def test_no_grad_suppresses_tape():
     with no_grad():
         x = Tensor(np.ones(3), requires_grad=True)
-        y = x * x
+        y = mul(x, x)
     assert not x.requires_grad and not y.requires_grad
     assert y._backward is None
 
@@ -257,10 +259,50 @@ def test_embedding_scatter_add():
     table = t64(np.zeros((5, 2)))
     ids = np.array([1, 1, 3])
     out = embedding(table, ids)
-    backward(reshape(out, (1, 6)) @ Tensor(np.ones((6, 1))))
+    backward(matmul(reshape(out, (1, 6)), Tensor(np.ones((6, 1)))))
     assert np.allclose(table.grad[1], [2.0, 2.0])  # two lookups accumulate
     assert np.allclose(table.grad[3], [1.0, 1.0])
     assert np.allclose(table.grad[0], 0.0)
+
+
+def test_matmul_weight_path_matches_batched_reference():
+    # rows of a 3-D operand times a 2-D weight: forward and both gradients
+    # against the batched product, the weight gradient summed over the batch
+    rng = np.random.default_rng(10)
+    a, b = t64(rng.normal(size=(4, 7, 5))), t64(rng.normal(size=(5, 3)))
+    g = rng.normal(size=(4, 7, 3))
+    out = matmul(a, b)
+    out._backward(g)
+    np.testing.assert_allclose(out.data, np.einsum("btd,de->bte", a.data, b.data), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(a.grad, g @ b.data.T, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(b.grad, (np.swapaxes(a.data, 1, 2) @ g).sum(axis=0), rtol=0, atol=1e-12)
+
+
+def test_operands_without_grad_get_none():
+    rng = np.random.default_rng(11)
+    img = t64(rng.normal(size=(2, 8, 8, 3)), grad=False)
+    kern = t64(rng.normal(size=(48, 6)))
+    backward(_proj_scalar(conv_patchify(img, kern, 4)))
+    assert img.grad is None and kern.grad.shape == (48, 6)
+
+    scores = t64(rng.normal(size=(2, 5, 5)))
+    mask = Tensor(_causal_mask(5))
+    backward(_proj_scalar(add(scores, mask)))
+    assert mask.grad is None and scores.grad.shape == (2, 5, 5)
+
+    x, w = t64(rng.normal(size=(3, 4)), grad=False), t64(rng.normal(size=(4, 2)))
+    gain, bias = t64(np.ones(4)), t64(np.zeros(4), grad=False)
+    backward(_proj_scalar(matmul(layer_norm(x, gain, bias), w)))
+    assert x.grad is None and bias.grad is None
+    assert gain.grad.shape == (4,) and w.grad.shape == (4, 2)
+
+
+def test_layer_norm_forward_matches_two_pass_statistics():
+    x = np.random.default_rng(12).normal(size=(4, 9, 16)).astype(np.float32)
+    mu = x.mean(-1, keepdims=True)
+    expect = (x - mu) * (1.0 / np.sqrt(x.var(-1, keepdims=True) + K.LN_EPS))
+    out = layer_norm(Tensor(x), Tensor(np.ones(16, np.float32)), Tensor(np.zeros(16, np.float32)))
+    assert np.array_equal(out.data, expect)
 
 
 def test_embedding_rejects_float_ids():
@@ -290,18 +332,22 @@ def test_fd_add_mul_scale():
         a = t64(rng.normal(size=(3, 4)))
         b = t64(rng.normal(size=(4,)))
         def make():
-            return _proj_scalar(scale((a + b) * a, 1.7))
+            return _proj_scalar(scale(mul(a + b, a), 1.7))
         return make, [a, b]
     _fd_case("add/mul/scale", build)
 
 
 def test_fd_matmul_batched():
+    # 3-D and 4-D rows against a weight, and against a transposed weight view
     def build(rng):
         a = t64(rng.normal(size=(2, 3, 4)))
         b = t64(rng.normal(size=(4, 5)))
+        c = t64(rng.normal(size=(2, 2, 3, 4)))
+        e = t64(rng.normal(size=(6, 5)))
         def make():
-            return _proj_scalar(matmul(a, b))
-        return make, [a, b]
+            return add(_proj_scalar(matmul(a, b)),
+                       _proj_scalar(matmul(matmul(c, b), transpose(e, (1, 0)))))
+        return make, [a, b, c, e]
     _fd_case("matmul", build)
 
 
@@ -425,6 +471,71 @@ def test_adam_nonfinite_grad_names_parameter():
     p.value.grad = np.array([1.0, np.nan])
     with pytest.raises(OptimizerError, match="encoder.layer0.w_q"):
         adam_step([p], AdamState(lr=0.1))
+
+
+def _adam_reference(arrays, grads, m, v, step, lr, b1=0.9, b2=0.999, eps=1e-8):
+    """The per-parameter loop that adam_step replaced, on plain dicts."""
+    for name, g in grads.items():
+        if g is None:
+            continue
+        if name not in m:
+            m[name] = np.zeros_like(arrays[name])
+            v[name] = np.zeros_like(arrays[name])
+        m[name] += (1.0 - b1) * (g - m[name])
+        v[name] += (1.0 - b2) * (g * g - v[name])
+        mhat = m[name] / (1.0 - b1**step)
+        vhat = v[name] / (1.0 - b2**step)
+        arrays[name] -= (lr * mhat / (np.sqrt(vhat) + eps)).astype(arrays[name].dtype, copy=False)
+
+
+def test_adam_skips_parameter_without_grad():
+    rng = np.random.default_rng(13)
+    a = Parameter("a", rng.normal(size=(3, 2)).astype(np.float32))
+    b = Parameter("b", rng.normal(size=4).astype(np.float32))
+    ref = {"a": a.data.copy(), "b": b.data.copy()}
+    ref_m, ref_v = {}, {}
+    st = AdamState(lr=0.01)
+    b_before = b.data
+    a.value.grad = rng.normal(size=(3, 2)).astype(np.float32)
+    adam_step([a, b], st)
+    _adam_reference(ref, {"a": a.grad, "b": None}, ref_m, ref_v, 1, 0.01)
+    assert b.data is b_before and np.array_equal(b.data, ref["b"])
+    assert "b" not in st.m and "b" not in st.v
+    # once it has a grad, its moments start from zero as in the reference
+    for step in (2, 3):
+        a.value.grad = rng.normal(size=(3, 2)).astype(np.float32)
+        b.value.grad = rng.normal(size=4).astype(np.float32)
+        adam_step([a, b], st)
+        _adam_reference(ref, {"a": a.grad, "b": b.grad}, ref_m, ref_v, step, 0.01)
+    for name, p in (("a", a), ("b", b)):
+        assert p.data.tobytes() == ref[name].tobytes()
+        assert st.m[name].tobytes() == ref_m[name].tobytes()
+        assert st.v[name].tobytes() == ref_v[name].tobytes()
+
+
+def test_adam_nonfinite_grad_changes_nothing():
+    rng = np.random.default_rng(14)
+    params = [Parameter(n, rng.normal(size=(4, 3)).astype(np.float32)) for n in ("first", "second", "third")]
+    st = AdamState(lr=0.01)
+    for p in params:
+        p.value.grad = rng.normal(size=(4, 3)).astype(np.float32)
+    adam_step(params, st)
+    before = {p.name: (p.data.copy(), st.m[p.name].copy(), st.v[p.name].copy()) for p in params}
+    params[1].value.grad = params[1].grad.copy()
+    params[1].grad[2, 1] = np.inf
+    with pytest.raises(OptimizerError, match="second"):
+        adam_step(params, st)
+    assert st.step == 1
+    for p in params:
+        w, m, v = before[p.name]
+        assert np.array_equal(p.data, w) and np.array_equal(st.m[p.name], m)
+        assert np.array_equal(st.v[p.name], v)
+
+    # a first step that fails leaves no moments behind
+    fresh = AdamState(lr=0.01)
+    with pytest.raises(OptimizerError, match="second"):
+        adam_step(params, fresh)
+    assert fresh.m == {} and fresh.v == {} and fresh.step == 0
 
 
 def test_adam_trajectory_matches_reference():
