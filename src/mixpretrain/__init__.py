@@ -5,9 +5,26 @@ trains a miniature encoder-decoder transformer on equal-weight task mixtures,
 and evaluates generated text with open-vocabulary exact match and CIDEr.
 """
 
+import contextlib
 import os
 
 __version__ = "0.1.0"
+
+
+@contextlib.contextmanager
+def atomic_write(path, mode="w", **kwargs):
+    """Open ``<path>.tmp`` for writing and rename it over ``path`` once the
+    block finishes, so ``path`` holds the previous file or the complete new
+    one, never a part.  If the block raises, the temp file is removed."""
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, mode, **kwargs) as f:
+            yield f
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 def bundled_lexicon_path():

@@ -17,7 +17,7 @@ import multiprocessing
 import os
 import statistics
 
-from . import tasksynth
+from . import atomic_write, tasksynth
 from .config import RunConfig, render_config
 from .runner import load_run_report, run_complete, run_training
 from .tasksynth import EASY, HARD, TaskKind
@@ -136,7 +136,7 @@ def run_grid(grid, base, out_root, seeds=(0, 1, 2), jobs=1, eval_kinds=None, log
 
     summary = {"grid": [[n, v["kinds"], v["policy"]] for n, v in variants.items()],
                "seeds": list(seeds), "eval_kinds": eval_kinds, "variants": variants}
-    with open(os.path.join(out_root, "summary.json"), "w") as f:
+    with atomic_write(os.path.join(out_root, "summary.json")) as f:
         json.dump(summary, f, sort_keys=True, indent=2)
     _write_csv(grid, variants, out_root)
     return summary
@@ -147,7 +147,7 @@ _T1_COLUMNS = ["overall_em", "cm_em", "oa_em", "caption_cider"]
 
 def _write_csv(grid, variants, out_root):
     path = os.path.join(out_root, "summary.csv")
-    with open(path, "w", newline="") as f:
+    with atomic_write(path, newline="") as f:
         w = csv.writer(f)
         w.writerow(["variant", "kinds", "policy", "status"]
                    + [f"{c}_{s}" for c in _T1_COLUMNS for s in ("mean", "std")])
@@ -178,7 +178,7 @@ def easy_hard_matrix(variants):
 
 def write_easy_hard_csv(matrix, out_root):
     path = os.path.join(out_root, "easy_hard.csv")
-    with open(path, "w", newline="") as f:
+    with atomic_write(path, newline="") as f:
         w = csv.writer(f)
         w.writerow(["task", "easy_mean", "easy_std", "hard_mean", "hard_std", "status"])
         for task in sorted(matrix):

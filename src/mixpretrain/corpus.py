@@ -10,6 +10,7 @@ serializes to a directory that round-trips through the same parsers.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import os
@@ -134,9 +135,6 @@ class Corpus:
 
     def all_class_names(self):
         return sorted(e.display_name for e in self.classes.values())
-
-    def name_to_class_id(self):
-        return {e.display_name: e.class_id for e in self.classes.values()}
 
     def n_captions(self):
         return sum(len(v) for v in self.captions.values())
@@ -401,32 +399,40 @@ def default_object_vocab(n=12):
     }
 
 
+@functools.lru_cache(maxsize=64)
 def _glyph_mask(shape, cell):
-    """Boolean (cell, cell) mask for one glyph, drawn with ~10% margin."""
+    """Boolean (cell, cell) mask for one glyph, drawn with ~10% margin.
+
+    Cached, because every placement of a shape at one cell size draws the
+    same mask; the returned array is read-only since callers share it.
+    """
     m = max(1, cell // 8)
     y, x = np.ogrid[0:cell, 0:cell]
     c = (cell - 1) / 2.0
     r = cell / 2.0 - m
     if shape == "square":
-        return (x >= m) & (x < cell - m) & (y >= m) & (y < cell - m)
-    if shape == "circle":
-        return (x - c) ** 2 + (y - c) ** 2 <= r**2
-    if shape == "triangle":
+        mask = (x >= m) & (x < cell - m) & (y >= m) & (y < cell - m)
+    elif shape == "circle":
+        mask = (x - c) ** 2 + (y - c) ** 2 <= r**2
+    elif shape == "triangle":
         # apex at top, base at bottom
         h = cell - 2 * m
         width = (y - m + 1) / max(h, 1) * (cell / 2.0 - m)
-        return (y >= m) & (y < cell - m) & (np.abs(x - c) <= width)
-    if shape == "diamond":
-        return np.abs(x - c) + np.abs(y - c) <= r
-    if shape == "cross":
+        mask = (y >= m) & (y < cell - m) & (np.abs(x - c) <= width)
+    elif shape == "diamond":
+        mask = np.abs(x - c) + np.abs(y - c) <= r
+    elif shape == "cross":
         bar = max(1, cell // 4)
         v = (np.abs(x - c) <= bar / 2) & (y >= m) & (y < cell - m)
         hz = (np.abs(y - c) <= bar / 2) & (x >= m) & (x < cell - m)
-        return v | hz
-    if shape == "ring":
+        mask = v | hz
+    elif shape == "ring":
         d2 = (x - c) ** 2 + (y - c) ** 2
-        return (d2 <= r**2) & (d2 >= (r * 0.45) ** 2)
-    raise ConfigError(f"unknown glyph shape {shape!r}")
+        mask = (d2 <= r**2) & (d2 >= (r * 0.45) ** 2)
+    else:
+        raise ConfigError(f"unknown glyph shape {shape!r}")
+    mask.flags.writeable = False
+    return mask
 
 
 _BACKGROUND = 0.92

@@ -16,6 +16,7 @@ import warnings
 from collections import Counter
 from dataclasses import dataclass, field
 
+from . import atomic_write
 from .mixture import make_batch
 
 
@@ -283,7 +284,7 @@ def evaluate(model, vocab, examples, images, corpus=None, batch_size=64,
 # offline scoring files
 
 def write_predictions(path, ids, predictions):
-    with open(path, "w") as f:
+    with atomic_write(path) as f:
         for i, p in zip(ids, predictions):
             f.write(json.dumps({"id": i, "prediction": p}) + "\n")
 

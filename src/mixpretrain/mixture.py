@@ -8,7 +8,6 @@ without replacement.  Total step count never depends on component count.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import random
 from dataclasses import dataclass, field
@@ -119,13 +118,6 @@ def build_schedule(spec, cfg, sizes):
         ids = samplers[name].take(cfg.batch_size)
         entries.append(ScheduleEntry(step=step, component=name, example_ids=tuple(ids)))
     return entries
-
-
-def dump_schedule_csv(entries, path):
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        for e in entries:
-            w.writerow([e.step, e.component, *e.example_ids])
 
 
 # ---------------------------------------------------------------------------

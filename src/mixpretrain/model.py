@@ -12,7 +12,6 @@ embedding transposed.
 from __future__ import annotations
 
 import collections
-import contextlib
 import dataclasses
 import hashlib
 import json
@@ -22,6 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import atomic_write
 from . import nnkernel as nk
 from .mixture import make_batch
 from .nnkernel import (
@@ -415,11 +415,6 @@ class Model:
             results.append(ids)
         return results
 
-    def generate(self, image, prompt_ids, max_len=None):
-        return self.generate_batch(
-            np.asarray(image)[None], np.asarray(prompt_ids)[None], max_len=max_len
-        )[0]
-
 
 # ---------------------------------------------------------------------------
 # training loop
@@ -533,20 +528,11 @@ def save_checkpoint(state, path):
         "payload_sha256": hashlib.sha256(payload).hexdigest(),
     }
     hb = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
-    # written beside the target and renamed over it, so a failed write leaves
-    # the previous checkpoint in place
-    tmp = f"{path}.tmp"
-    try:
-        with open(tmp, "wb") as f:
-            f.write(CKPT_MAGIC)
-            f.write(struct.pack("<I", len(hb)))
-            f.write(hb)
-            f.write(payload)
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(OSError):
-            os.remove(tmp)
-        raise
+    with atomic_write(path, "wb") as f:
+        f.write(CKPT_MAGIC)
+        f.write(struct.pack("<I", len(hb)))
+        f.write(hb)
+        f.write(payload)
 
 
 def load_checkpoint(path):

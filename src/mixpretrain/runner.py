@@ -15,7 +15,7 @@ import time
 
 import numpy as np
 
-from . import load_bundled_lexicon
+from . import atomic_write, load_bundled_lexicon
 from . import nnkernel as K
 from .config import RunConfig, render_config
 from .corpus import ConfigError, load_corpus, synth_corpus
@@ -58,6 +58,11 @@ def _load_or_synth_corpus(cfg):
     c = cfg.corpus
     if c["source"] == "dir":
         corpus, lexicon = load_corpus(c["dir"])
+        missing = sum(rec is None for rec in corpus.images.values())
+        if missing:
+            # ingest stores annotations only; reject before any synthesis runs
+            raise ConfigError(f"corpus {c['dir']}: {missing} of {len(corpus.images)} images "
+                              "have no pixels, and training and evaluation need them")
         if lexicon is None:
             lexicon = load_bundled_lexicon()
         return corpus, lexicon
@@ -113,7 +118,11 @@ def run_training(cfg: RunConfig, resume=False, log=None):
     say = log or (lambda msg: None)
     run_dir = cfg.out
     os.makedirs(run_dir, exist_ok=True)
-    t0 = time.time()
+    t0 = time.perf_counter()
+    stage_ends = []  # (stage, seconds since t0) as each stage finishes
+
+    def stage_done(name):
+        stage_ends.append((name, time.perf_counter() - t0))
 
     config_text = cfg.source_text or render_config(cfg)
     with open(os.path.join(run_dir, CONFIG_ECHO), "w") as f:
@@ -124,6 +133,7 @@ def run_training(cfg: RunConfig, resume=False, log=None):
     train_corpus = corpus.subset(train_ids)
     eval_corpus = corpus.subset(eval_ids) if eval_ids else None
     say(f"corpus: {len(train_ids)} train / {len(eval_ids)} eval images")
+    stage_done("corpus")
 
     kinds = [TaskKind(k) for k in cfg.kinds]
     scfg = _synth_config(cfg, cfg.seed)
@@ -133,10 +143,12 @@ def run_training(cfg: RunConfig, resume=False, log=None):
     datasets = {kind.value: load_task_file(paths[kind]) for kind in kinds}
     all_train = [ex for exs in datasets.values() for ex in exs]
     say(f"tasks: {len(all_train)} examples over {len(kinds)} kinds")
+    stage_done("tasks")
 
     vocab = build_vocab(all_train)
     vocab.save(os.path.join(run_dir, "vocab.json"))
     say(f"vocab: {len(vocab)} tokens")
+    stage_done("vocab")
 
     mcfg = _model_config(cfg, len(vocab))
     ckpt_path = os.path.join(run_dir, CHECKPOINT)
@@ -168,6 +180,7 @@ def run_training(cfg: RunConfig, resume=False, log=None):
     )
     final_loss = history[-1]["loss"] if history else _last_logged_loss(run_dir)
     say(f"trained {len(history)} steps, final loss {final_loss}")
+    stage_done("train")
 
     summary = {
         "steps": sched_cfg.total_steps,
@@ -177,7 +190,9 @@ def run_training(cfg: RunConfig, resume=False, log=None):
         "kinds": cfg.kinds,
         "policy": cfg.tasks["policy"],
         "seed": cfg.seed,
-        "wall_seconds": None,  # filled below; excluded from idempotency checks
+        # timings, filled below; excluded from idempotency checks
+        "wall_seconds": None,
+        "stage_seconds": None,
     }
 
     if eval_corpus is not None:
@@ -188,11 +203,25 @@ def run_training(cfg: RunConfig, resume=False, log=None):
             "hidden_penalties": report.hidden_penalties,
         }
         say(f"eval exact match {report.overall_exact_match:.3f}")
+    stage_done("eval")
 
-    summary["wall_seconds"] = round(time.time() - t0, 3)
-    with open(os.path.join(run_dir, "run.json"), "w") as f:
+    summary["wall_seconds"] = round(time.perf_counter() - t0, 3)
+    summary["stage_seconds"] = _stage_seconds(stage_ends)
+    with atomic_write(os.path.join(run_dir, "run.json")) as f:
         json.dump(summary, f, sort_keys=True, indent=2)
     return summary
+
+
+def _stage_seconds(stage_ends):
+    """Stage durations from stage end times.  Each end is rounded before it is
+    differenced, so the durations add up to the rounded last end and never
+    to more than ``wall_seconds``."""
+    out, prev = {}, 0.0
+    for name, end in stage_ends:
+        end = round(end, 3)
+        out[name] = round(end - prev, 3)
+        prev = end
+    return out
 
 
 def eval_questions(cfg, eval_corpus):
@@ -211,7 +240,7 @@ def evaluate_run(model, vocab, cfg, eval_corpus, run_dir):
     images = {i: eval_corpus.images[i].pixels for i in eval_corpus.image_ids()}
     report = evaluate(model, vocab, examples, images, corpus=eval_corpus,
                       batch_size=cfg.train["eval_batch"])
-    with open(os.path.join(run_dir, EVAL_REPORT), "w") as f:
+    with atomic_write(os.path.join(run_dir, EVAL_REPORT)) as f:
         f.write(report.to_json())
     write_predictions(os.path.join(run_dir, "predictions.jsonl"),
                       [it["id"] for it in report.items],

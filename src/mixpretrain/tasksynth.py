@@ -175,18 +175,40 @@ def make_hard_negative_caption(caption, lexicon, rng):
     return " ".join(toks), noun, replacement
 
 
-def _other_captions(corpus, image_id):
-    pool = []
-    for other_id in sorted(corpus.captions):
-        if other_id == image_id:
-            continue
-        pool.extend(corpus.captions[other_id])
-    return pool
+@dataclass(frozen=True)
+class CaptionPool:
+    """Every caption of a corpus in sorted image-id order, and each image's
+    ``[start, end)`` span in it.  An image's easy ITM negatives are the pool
+    minus its own span, so drawing one needs no per-image list."""
+
+    captions: list
+    spans: dict  # image_id -> (start, end)
+
+    def n_others(self, image_id):
+        """Number of captions that belong to other images."""
+        start, end = self.spans.get(image_id, (0, 0))
+        return len(self.captions) - (end - start)
+
+    def other(self, image_id, index):
+        """The ``index``-th caption of the pool with ``image_id``'s own
+        captions left out."""
+        start, end = self.spans.get(image_id, (0, 0))
+        return self.captions[index + (end - start) if index >= start else index]
 
 
-def synth_itm(record, corpus, lexicon, cfg, rng):
+def caption_pool(corpus):
+    captions, spans = [], {}
+    for image_id in sorted(corpus.captions):
+        start = len(captions)
+        captions.extend(corpus.captions[image_id])
+        spans[image_id] = (start, len(captions))
+    return CaptionPool(captions, spans)
+
+
+def synth_itm(record, pool, lexicon, cfg, rng):
     """Image-text matching: yes for the true caption, no for a negative.
 
+    Easy negatives are drawn from ``pool`` (the corpus's `caption_pool`).
     Hard negatives rewrite one noun; when the caption has no lexicon noun the
     generator falls back to an easy negative and records it in meta.
     """
@@ -206,10 +228,10 @@ def synth_itm(record, corpus, lexicon, cfg, rng):
                 meta["policy"] = EASY
                 meta["fallback"] = True
         if text is None:
-            pool = _other_captions(corpus, record.image_id)
-            if not pool:
+            n = pool.n_others(record.image_id)
+            if not n:
                 raise PolicyUnavailable("easy ITM negative needs a caption from another image")
-            text = normalize_caption(pool[rng.randrange(len(pool))].caption)
+            text = normalize_caption(pool.other(record.image_id, rng.randrange(n)).caption)
     return TaskExample(
         image_id=record.image_id,
         kind=TaskKind.ITM,
@@ -426,8 +448,11 @@ def _long_captions(corpus, image_id):
     return [c for c in corpus.captions.get(image_id, []) if len(normalize_caption(c.caption).split()) >= 4]
 
 
-def eligible_images(corpus, kind, cfg, lexicon=None):
-    """Sorted ids of images whose annotations can source the given kind."""
+def eligible_images(corpus, kind, cfg, pool=None):
+    """Sorted ids of images whose annotations can source the given kind.
+    ``pool`` is the corpus's `caption_pool`, built here for ITM when not given."""
+    if kind == TaskKind.ITM and pool is None:
+        pool = caption_pool(corpus)
     out = []
     for image_id in corpus.image_ids():
         caps = corpus.captions.get(image_id, [])
@@ -436,7 +461,7 @@ def eligible_images(corpus, kind, cfg, lexicon=None):
         elif kind in (TaskKind.COMPLETION, TaskKind.MLM):
             ok = bool(_long_captions(corpus, image_id))
         elif kind == TaskKind.ITM:
-            ok = bool(caps) and bool(_other_captions(corpus, image_id))
+            ok = bool(caps) and pool.n_others(image_id) > 0
         else:
             positives = set(corpus.positive_names(image_id))
             if not positives:
@@ -461,7 +486,7 @@ def eligible_images(corpus, kind, cfg, lexicon=None):
     return out
 
 
-def _generate_one(kind, corpus, image_id, cfg, rng, lexicon):
+def _generate_one(kind, corpus, image_id, cfg, rng, lexicon, pool):
     if kind in (TaskKind.CAPTION, TaskKind.ITM):
         caps = corpus.captions.get(image_id, [])
     elif kind in (TaskKind.COMPLETION, TaskKind.MLM):
@@ -478,7 +503,7 @@ def _generate_one(kind, corpus, image_id, cfg, rng, lexicon):
         if kind == TaskKind.COMPLETION:
             return synth_completion(record, cfg, rng)
         if kind == TaskKind.ITM:
-            return synth_itm(record, corpus, lexicon, cfg, rng)
+            return synth_itm(record, pool, lexicon, cfg, rng)
         return synth_mlm(record, cfg, rng)
 
     if kind == TaskKind.OA_LIST:
@@ -503,8 +528,9 @@ def synth_dataset(corpus, kinds, count_per_kind, cfg, lexicon=None):
     hard_itm = cfg.policy == HARD and TaskKind.ITM in kinds
     if hard_itm and lexicon is None:
         raise SynthesisError(TaskKind.ITM, "hard policy needs a lexicon")
+    pool = caption_pool(corpus) if TaskKind.ITM in kinds else None
     for kind in kinds:
-        eligible = eligible_images(corpus, kind, cfg, lexicon)
+        eligible = eligible_images(corpus, kind, cfg, pool)
         if not eligible:
             raise SynthesisError(kind)
         uses = {}
@@ -517,7 +543,7 @@ def synth_dataset(corpus, kinds, count_per_kind, cfg, lexicon=None):
             cycle = uses.get(image_id, 0)
             uses[image_id] = cycle + 1
             rng = example_rng(cfg.seed, kind, image_id, cycle)
-            example = _generate_one(kind, corpus, image_id, cfg, rng, lexicon)
+            example = _generate_one(kind, corpus, image_id, cfg, rng, lexicon, pool)
             if example is None:
                 consecutive_skips += 1
                 if consecutive_skips > len(eligible):

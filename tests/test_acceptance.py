@@ -232,7 +232,7 @@ def test_criterion_5_hard_negative_validity():
         if n_itm == 1000:
             break
 
-    class_of = corpus.name_to_class_id()
+    class_of = {e.display_name: e.class_id for e in corpus.classes.values()}
     exists_violations = 0
     n_exists = 0
     for ex in synth_dataset(corpus, [TaskKind.OA_EXISTS], 4000, cfg):

@@ -22,7 +22,7 @@ from mixpretrain.config import (
     parse_run_config,
     render_config,
 )
-from mixpretrain.corpus import ConfigError
+from mixpretrain.corpus import ConfigError, save_corpus, synth_corpus
 from mixpretrain.runner import (
     gradcheck_suite,
     run_complete,
@@ -208,6 +208,19 @@ def test_run_deterministic_across_directories(micro_run, tmp_path):
             assert a.read() == b.read(), name
 
 
+def test_run_json_reports_stage_seconds(micro_run):
+    cfg, summary = micro_run
+    with open(os.path.join(cfg.out, "run.json")) as f:
+        stored = json.load(f)
+    stages = stored["stage_seconds"]
+    assert set(stages) == {"corpus", "tasks", "vocab", "train", "eval"}
+    assert all(v >= 0 for v in stages.values())
+    # each stage is rounded to the millisecond; the float sum of such values
+    # may overshoot the rounded total by far less than a microsecond
+    assert sum(stages.values()) <= stored["wall_seconds"] + 1e-9
+    assert stages == summary["stage_seconds"]
+
+
 def test_resume_of_finished_run_is_stable(micro_run):
     cfg, _ = micro_run
     ckpt = os.path.join(cfg.out, "checkpoint.mpt")
@@ -345,6 +358,25 @@ def test_cli_synth_without_captions_names_kind(raw_annotations, capsys):
     err = capsys.readouterr().err
     assert rc == 2
     assert "caption" in err
+
+
+def test_cli_train_rejects_a_corpus_without_pixels(tmp_path, capsys):
+    src = str(tmp_path / "annotations")
+    save_corpus(synth_corpus(seed=0, n_images=40, grid=2, cell=4), src)
+    corpus_dir = str(tmp_path / "ingested")
+    assert main(["ingest", "--classes", os.path.join(src, "class_descriptions.csv"),
+                 "--labels", os.path.join(src, "image_labels.csv"),
+                 "--captions", os.path.join(src, "captions.jsonl"), "--out", corpus_dir]) == 0
+    out = str(tmp_path / "run")
+    ini = tmp_path / "run.ini"
+    ini.write_text(MICRO_INI.format(out=out).replace(
+        "[corpus]\n", f"[corpus]\nsource = dir\ndir = {corpus_dir}\n"))
+    capsys.readouterr()
+    assert main(["train", "--config", str(ini)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and corpus_dir in err and "pixels" in err
+    assert "Traceback" not in err
+    assert not os.path.exists(os.path.join(out, "tasks"))  # rejected before synthesis
 
 
 def test_cli_train_eval_score(tmp_path, capsys):

@@ -294,6 +294,22 @@ def test_synth_pixels_shape_and_range(small_corpus):
     assert float(rec.pixels.min()) >= 0.0 and float(rec.pixels.max()) <= 1.0
 
 
+def test_cached_glyph_masks_are_read_only_and_equal_a_fresh_draw():
+    for shape in C.SHAPES:
+        for cell in (4, 5, 8, 16):
+            mask = C._glyph_mask(shape, cell)
+            assert C._glyph_mask(shape, cell) is mask
+            assert not mask.flags.writeable
+            with pytest.raises(ValueError):
+                mask[0, 0] = not mask[0, 0]
+            fresh = C._glyph_mask.__wrapped__(shape, cell)
+            assert fresh is not mask
+            assert mask.shape == (cell, cell) and mask.dtype == bool
+            assert np.array_equal(mask, fresh)
+    with pytest.raises(ConfigError, match="hexagon"):
+        C._glyph_mask("hexagon", 8)
+
+
 def test_hidden_objects_are_rendered(hidden_corpus):
     # distinct non-background colors == labeled + hidden object count
     checked = 0

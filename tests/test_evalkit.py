@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import random
 import warnings
 
@@ -389,6 +390,21 @@ def test_score_files_round_trip(tmp_path):
     assert read_predictions(pred_path)["e1"] == "car, cat, dog"
     rows = read_ground_truth(gt_path)
     assert rows[1][3] == ("cat",)
+
+
+def test_failed_predictions_write_keeps_previous(tmp_path):
+    path = tmp_path / "pred.jsonl"
+    write_predictions(path, ["e0"], ["yes"])
+    before = path.read_bytes()
+
+    def predictions():
+        yield "no"
+        raise OSError(28, "No space left on device")
+
+    with pytest.raises(OSError, match="No space"):
+        write_predictions(path, ["e0", "e1"], predictions())
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["pred.jsonl"]
 
 
 def test_score_files_missing_prediction(tmp_path):

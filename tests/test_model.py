@@ -190,8 +190,8 @@ def test_generate_deterministic_no_pad():
     corp, exs, vocab, model, images = _tiny_setup()
     ex = exs[0]
     pids = np.array(vocab.encode(ex.prompt))
-    out1 = model.generate(images[ex.image_id], pids)
-    out2 = model.generate(images[ex.image_id], pids)
+    out1 = model.generate_batch(images[ex.image_id][None], pids[None])[0]
+    out2 = model.generate_batch(images[ex.image_id][None], pids[None])[0]
     assert out1 == out2
     assert vocab.pad_id not in out1
     assert len(out1) <= model.cfg.max_target
@@ -200,7 +200,8 @@ def test_generate_deterministic_no_pad():
 def test_generate_max_len_guard():
     corp, exs, vocab, model, images = _tiny_setup()
     with pytest.raises(ShapeError):
-        model.generate(images[exs[0].image_id], np.array(vocab.encode("x")), max_len=99)
+        model.generate_batch(images[exs[0].image_id][None], np.array([vocab.encode("x")]),
+                             max_len=99)
 
 
 def _count_decode_calls(model):
@@ -392,7 +393,7 @@ def test_train_overfits_single_example():
                            {"caption": 1})
     hist = train(model, sched, datasets, vocab, AdamState(lr=1e-2), images=images)
     assert hist[-1]["loss"] < 0.05
-    out = model.generate(images[ex.image_id], np.array(vocab.encode(ex.prompt)))
+    out, = model.generate_batch(images[ex.image_id][None], np.array([vocab.encode(ex.prompt)]))
     assert vocab.decode(out) == ex.target
 
 
@@ -477,7 +478,7 @@ class _DiskFull:
 
 
 def test_failed_checkpoint_write_keeps_previous(tmp_path, monkeypatch):
-    from mixpretrain import model as M
+    import mixpretrain
 
     corp, datasets, sched, vocab, model, images = _train_setup(2)
     opt = AdamState(lr=1e-3)
@@ -486,7 +487,8 @@ def test_failed_checkpoint_write_keeps_previous(tmp_path, monkeypatch):
     before = open(p, "rb").read()
     train(model, sched, datasets, vocab, opt, images=images)
     with monkeypatch.context() as mp:
-        mp.setattr(M, "open", lambda *a, **k: _DiskFull(open(*a, **k)), raising=False)
+        # the package's atomic_write opens the temp file
+        mp.setattr(mixpretrain, "open", lambda *a, **k: _DiskFull(open(*a, **k)), raising=False)
         with pytest.raises(OSError, match="No space"):
             save_checkpoint(checkpoint_state(model, opt, 2), p)
     assert open(p, "rb").read() == before

@@ -4,12 +4,14 @@ import collections
 import json
 import random
 
+import numpy as np
 import pytest
 
 from mixpretrain.corpus import (
     CaptionRecord,
     ClassEntry,
     ImageLabel,
+    ImageRecord,
     build_corpus,
     build_lexicon,
     lines,
@@ -24,6 +26,8 @@ from mixpretrain.tasksynth import (
     SynthesisError,
     TaskExample,
     TaskKind,
+    caption_pool,
+    eligible_images,
     make_hard_negative_caption,
     normalize_caption,
     synth_caption,
@@ -133,7 +137,7 @@ def test_completion_split_stays_interior():
 def test_itm_positive_branch():
     corp = _mini_corpus()
     rec = corp.captions["img1"][0]
-    ex = synth_itm(rec, corp, None, SynthConfig(), FakeRng(randoms=[0.2]))
+    ex = synth_itm(rec, caption_pool(corp), None, SynthConfig(), FakeRng(randoms=[0.2]))
     assert ex.prompt == "does this text match the image? a dog plays with a ball"
     assert ex.target == "yes"
 
@@ -141,7 +145,8 @@ def test_itm_positive_branch():
 def test_itm_easy_negative_uses_other_image():
     corp = _mini_corpus()
     rec = corp.captions["img1"][0]
-    ex = synth_itm(rec, corp, None, SynthConfig(), FakeRng(randoms=[0.9], randranges=[0]))
+    ex = synth_itm(rec, caption_pool(corp), None, SynthConfig(),
+                   FakeRng(randoms=[0.9], randranges=[0]))
     assert ex.target == "no"
     assert ex.prompt == "does this text match the image? a cat sits under the tree"
 
@@ -151,7 +156,7 @@ def test_itm_hard_negative_swaps_one_noun():
     lex = _mini_lexicon()
     rec = corp.captions["img1"][0]
     cfg = SynthConfig(policy="hard")
-    ex = synth_itm(rec, corp, lex, cfg, FakeRng(randoms=[0.9], randranges=[0, 0]))
+    ex = synth_itm(rec, caption_pool(corp), lex, cfg, FakeRng(randoms=[0.9], randranges=[0, 0]))
     assert ex.target == "no"
     assert ex.prompt == "does this text match the image? a cat plays with a ball"
     assert ex.meta["replaced_noun"] == "dog"
@@ -165,7 +170,7 @@ def test_itm_hard_falls_back_when_no_noun():
         captions=[CaptionRecord("a", "nothing to swap here"), CaptionRecord("b", "another text")],
     )
     lex = _mini_lexicon()
-    ex = synth_itm(corp.captions["a"][0], corp, lex, SynthConfig(policy="hard"),
+    ex = synth_itm(corp.captions["a"][0], caption_pool(corp), lex, SynthConfig(policy="hard"),
                    FakeRng(randoms=[0.9], randranges=[0]))
     assert ex.target == "no"
     assert ex.meta == {"policy": "easy", "fallback": True}
@@ -174,7 +179,70 @@ def test_itm_hard_falls_back_when_no_noun():
 def test_itm_easy_negative_requires_second_caption():
     corp = build_corpus({}, captions=[CaptionRecord("only", "just one caption here")])
     with pytest.raises(PolicyUnavailable):
-        synth_itm(corp.captions["only"][0], corp, None, SynthConfig(), FakeRng(randoms=[0.9]))
+        synth_itm(corp.captions["only"][0], caption_pool(corp), None, SynthConfig(),
+                  FakeRng(randoms=[0.9]))
+
+
+def _other_captions(corpus, image_id):
+    """Reference: the per-image list the easy ITM draw used to build."""
+    pool = []
+    for other_id in sorted(corpus.captions):
+        if other_id == image_id:
+            continue
+        pool.extend(corpus.captions[other_id])
+    return pool
+
+
+def _uneven_caption_corpus():
+    """Images with 2, 0, 1, 2, 0 and 1 captions; the first and last have some."""
+    counts = {"a0": 2, "b1": 0, "c2": 1, "d3": 2, "e4": 0, "f5": 1}
+    images = [ImageRecord(i, np.zeros((2, 2, 3), dtype=np.float32)) for i in counts]
+    captions = [CaptionRecord(i, f"caption {k} of image {i}")
+                for i, n in counts.items() for k in range(n)]
+    return build_corpus({}, captions=captions, images=images)
+
+
+def test_caption_pool_draw_matches_reference_list():
+    corp = _uneven_caption_corpus()
+    pool = caption_pool(corp)
+    for image_id in corp.image_ids():
+        ref = _other_captions(corp, image_id)
+        assert pool.n_others(image_id) == len(ref)
+        assert [pool.other(image_id, i) for i in range(len(ref))] == ref
+        for seed in range(8):
+            old, new = random.Random(seed), random.Random(seed)
+            assert pool.other(image_id, new.randrange(pool.n_others(image_id))) \
+                == ref[old.randrange(len(ref))]
+            assert new.getstate() == old.getstate()
+
+
+def test_itm_easy_negative_matches_reference_draw():
+    corp = _uneven_caption_corpus()
+    pool = caption_pool(corp)
+    cfg = SynthConfig(yes_no_balance=0.01)  # every seed below takes the negative branch
+    for image_id, records in corp.captions.items():
+        ref = _other_captions(corp, image_id)
+        for record in records:
+            for seed in range(8):
+                old, new = random.Random(seed), random.Random(seed)
+                assert old.random() >= cfg.yes_no_balance
+                want = normalize_caption(ref[old.randrange(len(ref))].caption)
+                ex = synth_itm(record, pool, None, cfg, new)
+                assert ex.target == "no"
+                assert ex.prompt == "does this text match the image? " + want
+                assert new.getstate() == old.getstate()
+
+
+def test_itm_eligibility_needs_a_caption_of_another_image():
+    cfg = SynthConfig()
+    corp = _uneven_caption_corpus()
+    assert eligible_images(corp, TaskKind.ITM, cfg) == ["a0", "c2", "d3", "f5"]
+    assert eligible_images(corp, TaskKind.ITM, cfg, caption_pool(corp)) == ["a0", "c2", "d3", "f5"]
+    # one image holds every caption: no image has a negative to draw
+    alone = corp.subset(["a0", "b1"])
+    assert eligible_images(alone, TaskKind.ITM, cfg, caption_pool(alone)) == []
+    with pytest.raises(SynthesisError, match="itm"):
+        list(synth_dataset(alone, [TaskKind.ITM], 3, cfg))
 
 
 def test_make_hard_negative_pinned():
