@@ -1,6 +1,7 @@
 """Schedule construction and batch assembly."""
 
 import collections
+import csv
 import random
 
 import numpy as np
@@ -69,15 +70,15 @@ def test_spec_validation():
 # schedules
 
 def test_schedule_length_and_batch_width():
-    for names, steps, batch, sizes in ((["a", "b"], 100, 4, {"a": 10, "b": 20}),
-                                       (["a"], 3, 2, {"a": 4})):
-        cfg = ScheduleConfig(total_steps=steps, batch_size=batch, seed=0)
-        sched = build_schedule(MixtureSpec.equal(names), cfg, sizes)
-        assert len(sched) == steps
-        assert all(len(e.example_ids) == batch for e in sched)
-        assert all(0 <= i < sizes[e.component] for e in sched for i in e.example_ids)
-        assert [e.step for e in sched] == list(range(steps))
-        assert {e.component for e in sched} == set(names)
+    spec = MixtureSpec.equal(["a", "b"])
+    cfg = ScheduleConfig(total_steps=100, batch_size=4, seed=0)
+    sizes = {"a": 10, "b": 20}
+    sched = build_schedule(spec, cfg, sizes)
+    assert len(sched) == 100
+    assert all(len(e.example_ids) == 4 for e in sched)
+    assert all(0 <= i < sizes[e.component] for e in sched for i in e.example_ids)
+    assert [e.step for e in sched] == list(range(100))
+    assert {e.component for e in sched} == {"a", "b"}
 
 
 def test_schedule_epochs_wrap_without_repeat():
@@ -132,6 +133,18 @@ def test_schedule_chi_square_across_seeds():
         obs = [counts[n] for n in spec.names]
         _, p = scipy_stats.chisquare(obs)
         assert p > 0.001
+
+
+def test_schedule_csv_dump(tmp_path):
+    # a schedule entry flattens to one CSV row: step, component, example ids
+    spec = MixtureSpec.equal(["a"])
+    sched = build_schedule(spec, ScheduleConfig(total_steps=3, batch_size=2, seed=0), {"a": 4})
+    path = tmp_path / "sched.csv"
+    with open(path, "w", newline="") as f:
+        csv.writer(f).writerows([e.step, e.component, *e.example_ids] for e in sched)
+    rows = [line.split(",") for line in path.read_text().strip().splitlines()]
+    assert len(rows) == 3
+    assert rows[0][1] == "a" and len(rows[0]) == 4
 
 
 # ---------------------------------------------------------------------------
