@@ -39,15 +39,16 @@ from .corpus import (
     parse_localized_narratives,
     save_corpus,
 )
-from .evalkit import FingerprintError, score_files
+from .evalkit import score_files
+from .gradcheck import TOLERANCE, gradcheck_suite
 from .mixture import ScheduleError
 from .model import CheckpointError, TrainingError, Vocab, load_checkpoint, restore_model
 from .nnkernel import OptimizerError, ShapeError
 from .runner import (
     CHECKPOINT,
     _load_or_synth_corpus,
+    check_checkpoint,
     evaluate_run,
-    gradcheck_suite,
     run_training,
     split_image_ids,
 )
@@ -55,7 +56,7 @@ from .tasksynth import EASY, HARD, SynthConfig, SynthesisError, TaskKind, write_
 
 RUNTIME_FAULTS = (TrainingError, OptimizerError)
 CONFIG_FAULTS = (ConfigError, ParseError, ValidationError, BuildError, ScheduleError,
-                 SynthesisError, FingerprintError, CheckpointError, ShapeError,
+                 SynthesisError, CheckpointError, ShapeError,
                  ValueError, OSError)
 
 
@@ -149,13 +150,10 @@ def cmd_eval(args):
     cfg = load_run_config(os.path.join(run_dir, "config.ini"))
     cfg.out = run_dir  # the stored config may name a different original out dir
     state = load_checkpoint(os.path.join(run_dir, CHECKPOINT))
-    model, _ = restore_model(state)
     vocab = Vocab.load(os.path.join(run_dir, "vocab.json"))
-    if state.vocab_fingerprint and state.vocab_fingerprint != vocab.fingerprint():
-        raise FingerprintError("stored vocab does not match the checkpoint")
     corpus, _ = _load_or_synth_corpus(cfg)
-    if state.corpus_fingerprint and state.corpus_fingerprint != corpus.fingerprint():
-        raise FingerprintError("reconstructed corpus does not match the checkpoint")
+    check_checkpoint(state, cfg, vocab, corpus)
+    model, _ = restore_model(state)
     _, eval_ids = split_image_ids(corpus.image_ids(), cfg.eval_split, cfg.seed)
     if not eval_ids:
         raise ConfigError("run has no eval split (eval_split = 0)")
@@ -184,7 +182,7 @@ def cmd_gradcheck(args):
     worst = gradcheck_suite(seeds=seeds)
     bad = False
     for name in sorted(worst):
-        ok = worst[name] < 1e-4
+        ok = worst[name] < TOLERANCE
         bad = bad or not ok
         print(f"{name:26s} max rel err {worst[name]:.3e}  {'ok' if ok else 'FAIL'}")
     return 3 if bad else 0

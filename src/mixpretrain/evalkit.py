@@ -20,10 +20,6 @@ from . import atomic_write
 from .mixture import make_batch
 
 
-class FingerprintError(ValueError):
-    pass
-
-
 def normalize_answer(text):
     """Lowercase, trim, collapse internal whitespace, strip terminal period."""
     t = " ".join(text.lower().split())
@@ -248,14 +244,9 @@ def predict(model, vocab, examples, images, batch_size=64):
     return preds
 
 
-def evaluate(model, vocab, examples, images, corpus=None, batch_size=64,
-             expected_vocab_fingerprint=None):
+def evaluate(model, vocab, examples, images, corpus=None, batch_size=64):
     """Generate + score.  ``corpus`` supplies caption references and hidden
-    positives; fingerprint mismatch against the checkpoint is fatal."""
-    if expected_vocab_fingerprint and expected_vocab_fingerprint != vocab.fingerprint():
-        raise FingerprintError(
-            f"vocab fingerprint {vocab.fingerprint()[:12]} != checkpoint {expected_vocab_fingerprint[:12]}"
-        )
+    positives."""
     preds = predict(model, vocab, examples, images, batch_size=batch_size)
     items = []
     for i, (ex, pred) in enumerate(zip(examples, preds)):

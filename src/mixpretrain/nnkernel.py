@@ -237,15 +237,23 @@ def concat(tensors, axis):
     return _make(out_data, tuple(tensors), backward)
 
 
-def softmax(x, axis=-1):
+def _row_max(x):
+    """``x.max(-1, keepdims=True)``, bitwise: one elementwise maximum over the
+    rows of a transposed contiguous copy, which numpy runs several times
+    faster than its row-by-row reduction of a short last axis."""
+    return np.maximum.reduce(np.ascontiguousarray(np.moveaxis(x, -1, 0)), axis=0)[..., None]
+
+
+def softmax(x):
+    """Softmax over the last axis."""
     x = _as_tensor(x)
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
+    shifted = x.data - _row_max(x.data)
     e = np.exp(shifted)
-    out_data = e / e.sum(axis=axis, keepdims=True)
+    out_data = e / e.sum(axis=-1, keepdims=True)
 
     def backward(g):
         # dL/dx = y * (g - sum(g*y))
-        inner = (g * out_data).sum(axis=axis, keepdims=True)
+        inner = (g * out_data).sum(axis=-1, keepdims=True)
         _accum(x, out_data * (g - inner))
 
     return _make(out_data, (x,), backward)
@@ -296,7 +304,7 @@ def attention(q, k, v, mask=None):
     scores = scale(matmul(q, _swap_last(k)), 1.0 / math.sqrt(d))
     if mask is not None:
         scores = add(scores, Tensor(np.asarray(mask, dtype=q.data.dtype)))
-    return matmul(softmax(scores, axis=-1), v)
+    return matmul(softmax(scores), v)
 
 
 def _swap_last(t):
@@ -340,7 +348,7 @@ def cross_entropy_masked(logits, targets, loss_mask):
     if denom == 0:
         raise ValueError("cross_entropy_masked: loss mask is all zero")
 
-    z = logits.data - logits.data.max(axis=-1, keepdims=True)
+    z = logits.data - _row_max(logits.data)
     logsumexp = np.log(np.exp(z).sum(axis=-1, keepdims=True))
     logp = z - logsumexp
     picked = np.take_along_axis(logp, targets[..., None], axis=-1)[..., 0]
@@ -518,55 +526,3 @@ def adam_step(params, state):
     s1 /= s2
     flat.w -= s1
 
-
-# ---------------------------------------------------------------------------
-# finite-difference verification
-
-def finite_difference_check(make_loss, tensors, h=1e-5, n_samples=8, seed=0, denom_floor=1e-6,
-                            h_fallback=None, fallback_threshold=1e-4):
-    """Max relative error of taped grads vs central differences.
-
-    ``make_loss()`` rebuilds the graph from the current contents of
-    ``tensors`` (float64 leaf Tensors with requires_grad).  A few elements per
-    tensor are probed; sampling is seeded.  ``denom_floor`` keeps the relative
-    error meaningful where the true gradient sits below the cancellation noise
-    of the difference quotient (~eps * |loss| / h).
-
-    ``h_fallback``: when a forward pass happens to place a relu input within
-    +/- h of zero, the +/-h evaluations straddle the kink and the quotient no
-    longer estimates the derivative.  Elements whose error exceeds
-    ``fallback_threshold`` are then re-probed at this smaller step, which
-    shrinks the kink window; a genuinely wrong gradient keeps its error at
-    every step size, so bugs still fail.
-    """
-    rng = np.random.default_rng(seed)
-    for t in tensors:
-        t.zero_grad()
-    loss = make_loss()
-    backward(loss)
-    worst = 0.0
-    for t in tensors:
-        flat = t.data.reshape(-1)
-        gflat = np.zeros_like(flat) if t.grad is None else t.grad.reshape(-1)
-        idx = rng.choice(flat.size, size=min(n_samples, flat.size), replace=False)
-        for i in idx:
-            keep = flat[i]
-
-            def quotient(step):
-                flat[i] = keep + step
-                up = make_loss().item()
-                flat[i] = keep - step
-                down = make_loss().item()
-                flat[i] = keep
-                return (up - down) / (2.0 * step)
-
-            analytic = float(gflat[i])
-
-            def rel(numeric):
-                return abs(analytic - numeric) / max(abs(analytic), abs(numeric), denom_floor)
-
-            err = rel(quotient(h))
-            if h_fallback is not None and err > fallback_threshold:
-                err = min(err, rel(quotient(h_fallback)))
-            worst = max(worst, err)
-    return worst

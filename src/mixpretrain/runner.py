@@ -8,21 +8,21 @@ policy is the experimental variable, the probe stays fixed.
 
 from __future__ import annotations
 
+import contextlib
+import dataclasses
 import json
 import os
 import random
 import time
 
-import numpy as np
-
 from . import atomic_write, load_bundled_lexicon
-from . import nnkernel as K
 from .config import RunConfig, render_config
 from .corpus import ConfigError, load_corpus, synth_corpus
 from .evalkit import evaluate, write_predictions
 from .mixture import MixtureSpec, ScheduleConfig, build_schedule
 from .model import (
     AdamState,
+    CheckpointError,
     Model,
     ModelConfig,
     build_vocab,
@@ -40,6 +40,8 @@ from .tasksynth import (
 
 CHECKPOINT = "checkpoint.mpt"
 EVAL_REPORT = "eval.json"
+PREDICTIONS = "predictions.jsonl"
+RUN_REPORT = "run.json"
 CONFIG_ECHO = "config.ini"
 
 
@@ -87,6 +89,24 @@ def _model_config(cfg, vocab_size):
                        max_prompt=m["max_prompt"], max_target=m["max_target"])
 
 
+def check_checkpoint(state, cfg, vocab, corpus):
+    """Refuse a checkpoint written under another vocab, corpus or model
+    config than the run ``cfg`` rebuilds; the error names what differs."""
+    diffs = []
+    if state.vocab_fingerprint != vocab.fingerprint():
+        diffs.append("vocab")
+    if state.corpus_fingerprint != corpus.fingerprint():
+        diffs.append("corpus")
+    mcfg = _model_config(cfg, len(vocab))
+    changed = [f"{f.name} {getattr(state.config, f.name)} -> {getattr(mcfg, f.name)}"
+               for f in dataclasses.fields(mcfg)
+               if getattr(state.config, f.name) != getattr(mcfg, f.name)]
+    if changed:
+        diffs.append(f"model config ({', '.join(changed)})")
+    if diffs:
+        raise CheckpointError(f"checkpoint does not match this run: {'; '.join(diffs)} differ")
+
+
 def run_complete(run_dir, config_text):
     """True when the directory holds a finished run of exactly this config."""
     echo = os.path.join(run_dir, CONFIG_ECHO)
@@ -124,6 +144,10 @@ def run_training(cfg: RunConfig, resume=False, log=None):
     def stage_done(name):
         stage_ends.append((name, time.perf_counter() - t0))
 
+    # results of an earlier run must not pass for results of this config
+    for name in (EVAL_REPORT, PREDICTIONS, RUN_REPORT):
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(os.path.join(run_dir, name))
     config_text = cfg.source_text or render_config(cfg)
     with open(os.path.join(run_dir, CONFIG_ECHO), "w") as f:
         f.write(config_text)
@@ -155,8 +179,7 @@ def run_training(cfg: RunConfig, resume=False, log=None):
     start_step = 0
     if resume and os.path.exists(ckpt_path):
         state = load_checkpoint(ckpt_path)
-        if state.vocab_fingerprint and state.vocab_fingerprint != vocab.fingerprint():
-            raise ConfigError("resume: vocab changed since checkpoint was written")
+        check_checkpoint(state, cfg, vocab, corpus)
         model, opt = restore_model(state)
         start_step = state.step
         say(f"resumed at step {start_step}")
@@ -207,7 +230,7 @@ def run_training(cfg: RunConfig, resume=False, log=None):
 
     summary["wall_seconds"] = round(time.perf_counter() - t0, 3)
     summary["stage_seconds"] = _stage_seconds(stage_ends)
-    with atomic_write(os.path.join(run_dir, "run.json")) as f:
+    with atomic_write(os.path.join(run_dir, RUN_REPORT)) as f:
         json.dump(summary, f, sort_keys=True, indent=2)
     return summary
 
@@ -242,7 +265,7 @@ def evaluate_run(model, vocab, cfg, eval_corpus, run_dir):
                       batch_size=cfg.train["eval_batch"])
     with atomic_write(os.path.join(run_dir, EVAL_REPORT)) as f:
         f.write(report.to_json())
-    write_predictions(os.path.join(run_dir, "predictions.jsonl"),
+    write_predictions(os.path.join(run_dir, PREDICTIONS),
                       [it["id"] for it in report.items],
                       [it["prediction"] for it in report.items])
     return report
@@ -252,79 +275,3 @@ def load_run_report(run_dir):
     with open(os.path.join(run_dir, EVAL_REPORT)) as f:
         return json.load(f)
 
-
-# ---------------------------------------------------------------------------
-# gradient diagnostics
-
-def gradcheck_suite(seeds=(0, 1, 2, 3, 4)):
-    """Central-difference check of every differentiable kernel op plus a full
-    d_model=8 model, in float64.  Returns {case: worst relative error}."""
-    def t64(rng, *shape):
-        return K.Tensor(rng.normal(size=shape), requires_grad=True)
-
-    def proj(out):
-        w = np.random.default_rng(999).normal(size=(out.data.size, 1))
-        return K.matmul(K.reshape(out, (1, out.data.size)), K.Tensor(w))
-
-    def causal(n):
-        m = np.zeros((n, n))
-        m[np.triu_indices(n, k=1)] = K.MASK_NEG
-        return m
-
-    def cases(rng):
-        a, b = t64(rng, 3, 4), t64(rng, 3, 4)
-        yield "add", (lambda: proj(K.add(a, b))), [a, b]
-        yield "mul", (lambda: proj(K.mul(a, b))), [a, b]
-        yield "scale", (lambda: proj(K.scale(a, -1.7))), [a]
-        m1, m2 = t64(rng, 2, 3, 4), t64(rng, 2, 4, 5)
-        yield "matmul", (lambda: proj(K.matmul(m1, m2))), [m1, m2]
-        r = K.Tensor(rng.normal(size=(3, 5)), requires_grad=True)
-        r.data += 0.1 * np.sign(r.data)  # keep clear of the relu kink
-        yield "relu", (lambda: proj(K.relu(r))), [r]
-        s = t64(rng, 2, 6)
-        yield "softmax", (lambda: proj(K.softmax(s))), [s]
-        x, g, c = t64(rng, 3, 8), t64(rng, 8), t64(rng, 8)
-        yield "layer_norm", (lambda: proj(K.layer_norm(x, g, c))), [x, g, c]
-        q, k, v = t64(rng, 2, 5, 8), t64(rng, 2, 5, 8), t64(rng, 2, 5, 8)
-        mask = causal(5)
-        yield "attention", (lambda: proj(K.attention(q, k, v, mask=mask))), [q, k, v]
-        img = K.Tensor(rng.uniform(size=(2, 8, 8, 3)), requires_grad=True)
-        kern = t64(rng, 48, 6)
-        yield "conv_patchify", (lambda: proj(K.conv_patchify(img, kern, 4))), [img, kern]
-        table = t64(rng, 9, 5)
-        ids = rng.integers(0, 9, size=(2, 6))
-        yield "embedding", (lambda: proj(K.embedding(table, ids))), [table]
-        c1, c2 = t64(rng, 2, 3, 4), t64(rng, 2, 2, 4)
-        yield "concat_transpose_reshape", (lambda: proj(
-            K.reshape(K.transpose(K.concat([c1, c2], axis=1), (0, 2, 1)), (2, 20)))), [c1, c2]
-        logits = t64(rng, 2, 4, 7)
-        targets = rng.integers(0, 7, size=(2, 4))
-        lmask = np.ones((2, 4))
-        lmask[0, 3] = 0.0
-        yield "cross_entropy", (lambda: K.cross_entropy_masked(logits, targets, lmask)), [logits]
-
-    worst = {}
-    for seed in seeds:
-        rng = np.random.default_rng(seed)
-        for name, make_loss, leaves in cases(rng):
-            err = K.finite_difference_check(make_loss, leaves, n_samples=6, seed=seed)
-            worst[name] = max(worst.get(name, 0.0), err)
-
-    cfg = ModelConfig(vocab_size=24, d_model=8, n_heads=2, n_encoder_layers=2,
-                      n_decoder_layers=2, d_ff=16, patch=4, image_size=8,
-                      max_prompt=6, max_target=5)
-    for seed in seeds:
-        rng = np.random.default_rng(seed)
-        model = Model(cfg, seed=seed, dtype=np.float64)
-        images = rng.uniform(size=(2, 8, 8, 3))
-        prompts = rng.integers(3, 24, size=(2, 6))
-        targets = rng.integers(3, 24, size=(2, 5))
-
-        def make_loss():
-            return model.forward(images, prompts, targets)[1]
-
-        leaves = [p.value for p in model.parameters()]
-        err = K.finite_difference_check(make_loss, leaves, n_samples=2, seed=seed,
-                                        h_fallback=1e-7)
-        worst["model_d8"] = max(worst.get("model_d8", 0.0), err)
-    return worst

@@ -35,7 +35,8 @@ from mixpretrain.model import (
     save_checkpoint,
     train,
 )
-from mixpretrain.runner import gradcheck_suite, run_training
+from mixpretrain.gradcheck import SEEDS, TOLERANCE, gradcheck_suite
+from mixpretrain.runner import run_training
 from mixpretrain.tasksynth import (
     HARD,
     SynthConfig,
@@ -58,12 +59,13 @@ def _verdict(num, name, ok, detail):
 
 def test_criterion_1_gradient_suite():
     t0 = time.time()
-    worst = gradcheck_suite(seeds=(0, 1, 2, 3, 4))
+    worst = gradcheck_suite(seeds=SEEDS)
     elapsed = time.time() - t0
     peak = max(worst.values())
-    ok = peak < 1e-4 and elapsed < 60.0
+    ok = peak < TOLERANCE and elapsed < 60.0
     _verdict(1, "gradient suite", ok,
-             f"{len(worst)} cases over 5 seeds, max rel err {peak:.3e} < 1e-4, {elapsed:.1f}s < 60s")
+             f"{len(worst)} cases over {len(SEEDS)} seeds, max rel err {peak:.3e} < {TOLERANCE}, "
+             f"{elapsed:.1f}s < 60s")
 
 
 # ---------------------------------------------------------------------------

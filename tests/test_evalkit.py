@@ -10,7 +10,6 @@ import pytest
 from mixpretrain.corpus import synth_corpus
 from mixpretrain.evalkit import (
     EvalItem,
-    FingerprintError,
     cider,
     compute_idf,
     evaluate,
@@ -342,16 +341,6 @@ def test_evaluate_deterministic_bytes(eval_setup):
     a = evaluate(model, vocab, examples, images, corpus=corpus).to_json()
     b = evaluate(model, vocab, examples, images, corpus=corpus).to_json()
     assert a == b
-
-
-def test_evaluate_fingerprint_gate(eval_setup):
-    corpus, examples, vocab, model, images = eval_setup
-    with pytest.raises(FingerprintError):
-        evaluate(model, vocab, examples, images, corpus=corpus,
-                 expected_vocab_fingerprint="0" * 64)
-    rep = evaluate(model, vocab, examples, images, corpus=corpus,
-                   expected_vocab_fingerprint=vocab.fingerprint())
-    assert rep.items
 
 
 def test_evaluate_caption_uses_corpus_references(eval_setup):

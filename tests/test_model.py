@@ -26,7 +26,7 @@ from mixpretrain.model import (
     save_checkpoint,
     train,
 )
-from mixpretrain.nnkernel import AdamState, ShapeError, adam_step, finite_difference_check, no_grad
+from mixpretrain.nnkernel import AdamState, ShapeError, adam_step, no_grad
 from mixpretrain.tasksynth import SynthConfig, TaskExample, TaskKind, synth_dataset
 
 
@@ -291,23 +291,6 @@ def test_decode_rejects_positions_past_max_target():
         model.decode(memory, mem_mask, np.zeros((2, T + 1), dtype=np.int64))
     with pytest.raises(ShapeError):
         model.decode(memory, mem_mask, np.zeros((2, 1), dtype=np.int64), cache={}, start=T)
-
-
-def test_end_to_end_gradient_check():
-    corp, exs, vocab, model, images = _tiny_setup(dtype=np.float64)
-    batch = _batch_of(exs[:2], vocab, model, images)
-    imgs64 = batch.images.astype(np.float64)
-
-    def make_loss():
-        _, loss = model.forward(imgs64, batch.prompt_ids, batch.target_ids,
-                                prompt_mask=batch.prompt_mask, loss_mask=batch.loss_mask)
-        return loss
-
-    probe = ["embed.tok", "patch.kernel", "embed.type", "enc0.attn.wq", "enc0.ff.w1",
-             "enc0.ln1.g", "dec0.self.wv", "dec0.cross.wk", "dec0.ff.b2", "dec.ln_f.b"]
-    leaves = [model.params[n].value for n in probe]
-    err = finite_difference_check(make_loss, leaves, n_samples=4, seed=0)
-    assert err < 1e-4, f"rel err {err:.3e}"
 
 
 # Every tape op a training step calls.  The composites build their output

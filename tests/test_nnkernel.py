@@ -1,11 +1,15 @@
 """Tape ops, hand-computed oracles, finite-difference gradient checks, Adam."""
 
+import ctypes
+import glob
 import math
+import os
 
 import numpy as np
 import pytest
 
 from mixpretrain import nnkernel as K
+from mixpretrain.gradcheck import CASES, SEEDS, TOLERANCE, check_case, project
 from mixpretrain.nnkernel import (
     AdamState,
     OptimizerError,
@@ -20,7 +24,6 @@ from mixpretrain.nnkernel import (
     conv_patchify,
     cross_entropy_masked,
     embedding,
-    finite_difference_check,
     layer_norm,
     matmul,
     mul,
@@ -70,6 +73,20 @@ def test_softmax_shift_invariance():
     b = softmax(t64(x + 13.7)).data
     assert np.allclose(a, b, atol=1e-6)
     assert np.allclose(a.sum(-1), 1.0, atol=1e-6)
+
+
+def test_row_max_equals_max_over_last_axis():
+    x = np.random.default_rng(5).normal(size=(3, 4, 6))
+    x[0, 0, 2] = K.MASK_NEG
+    x[0, 1] = K.MASK_NEG
+    x[1, 2, 3] = -np.inf
+    x[1, 3] = -np.inf
+    x[2, 0, 5] = np.nan
+    for arr in (x, x.astype(np.float32), x[:, :, ::-1], x[1, 2], x[2, 0]):
+        expect = arr.max(-1, keepdims=True)
+        got = K._row_max(arr)
+        assert got.dtype == expect.dtype and got.shape == expect.shape
+        assert np.array_equal(got, expect, equal_nan=True)
 
 
 def test_layer_norm_hand_example():
@@ -282,17 +299,17 @@ def test_operands_without_grad_get_none():
     rng = np.random.default_rng(11)
     img = t64(rng.normal(size=(2, 8, 8, 3)), grad=False)
     kern = t64(rng.normal(size=(48, 6)))
-    backward(_proj_scalar(conv_patchify(img, kern, 4)))
+    backward(project(conv_patchify(img, kern, 4)))
     assert img.grad is None and kern.grad.shape == (48, 6)
 
     scores = t64(rng.normal(size=(2, 5, 5)))
     mask = Tensor(_causal_mask(5))
-    backward(_proj_scalar(add(scores, mask)))
+    backward(project(add(scores, mask)))
     assert mask.grad is None and scores.grad.shape == (2, 5, 5)
 
     x, w = t64(rng.normal(size=(3, 4)), grad=False), t64(rng.normal(size=(4, 2)))
     gain, bias = t64(np.ones(4)), t64(np.zeros(4), grad=False)
-    backward(_proj_scalar(matmul(layer_norm(x, gain, bias), w)))
+    backward(project(matmul(layer_norm(x, gain, bias), w)))
     assert x.grad is None and bias.grad is None
     assert gain.grad.shape == (4,) and w.grad.shape == (4, 2)
 
@@ -311,129 +328,37 @@ def test_embedding_rejects_float_ids():
 
 
 # ---------------------------------------------------------------------------
-# finite-difference sweep: every differentiable op, 5 seeds, rel err < 1e-4
+# finite-difference audit: every case of the table, every seed
 
-def _proj_scalar(out):
-    """Fixed random projection to a scalar so any-shaped output can be checked."""
-    w = np.random.default_rng(999).normal(size=(out.data.size, 1))
-    return matmul(reshape(out, (1, out.data.size)), Tensor(w))
-
-
-def _fd_case(name, build, seeds=range(5), tol=1e-4):
-    for seed in seeds:
-        rng = np.random.default_rng(seed)
-        make_loss, leaves = build(rng)
-        err = finite_difference_check(make_loss, leaves, seed=seed)
-        assert err < tol, f"{name} seed {seed}: rel err {err:.3e}"
+@pytest.mark.parametrize("name", list(CASES))
+def test_gradient_case(name):
+    for seed in SEEDS:
+        err = check_case(name, seed)
+        assert err < TOLERANCE, f"{name} seed {seed}: rel err {err:.3e}"
 
 
-def test_fd_add_mul_scale():
-    def build(rng):
-        a = t64(rng.normal(size=(3, 4)))
-        b = t64(rng.normal(size=(4,)))
-        def make():
-            return _proj_scalar(scale(mul(a + b, a), 1.7))
-        return make, [a, b]
-    _fd_case("add/mul/scale", build)
+# ---------------------------------------------------------------------------
+# BLAS threads
+
+def _openblas_threads():
+    """Threads of the OpenBLAS that numpy bundles and has loaded, or None."""
+    libdir = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    for path in glob.glob(os.path.join(libdir, "*openblas*")):
+        lib = ctypes.CDLL(path)  # the loaded library: dlopen hands back its handle
+        for name in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads"):
+            get = getattr(lib, name, None)
+            if get is not None:
+                return get()
+    return None
 
 
-def test_fd_matmul_batched():
-    # 3-D and 4-D rows against a weight, and against a transposed weight view
-    def build(rng):
-        a = t64(rng.normal(size=(2, 3, 4)))
-        b = t64(rng.normal(size=(4, 5)))
-        c = t64(rng.normal(size=(2, 2, 3, 4)))
-        e = t64(rng.normal(size=(6, 5)))
-        def make():
-            return add(_proj_scalar(matmul(a, b)),
-                       _proj_scalar(matmul(matmul(c, b), transpose(e, (1, 0)))))
-        return make, [a, b, c, e]
-    _fd_case("matmul", build)
-
-
-def test_fd_relu():
-    def build(rng):
-        a = t64(rng.normal(size=(4, 6)) + 0.05)  # stay off the kink
-        def make():
-            return _proj_scalar(relu(a))
-        return make, [a]
-    _fd_case("relu", build)
-
-
-def test_fd_softmax():
-    def build(rng):
-        a = t64(rng.normal(size=(3, 7)))
-        def make():
-            return _proj_scalar(softmax(a, axis=-1))
-        return make, [a]
-    _fd_case("softmax", build)
-
-
-def test_fd_layer_norm():
-    def build(rng):
-        x = t64(rng.normal(size=(4, 6)))
-        g = t64(rng.normal(size=(6,)))
-        b = t64(rng.normal(size=(6,)))
-        def make():
-            return _proj_scalar(layer_norm(x, g, b))
-        return make, [x, g, b]
-    _fd_case("layer_norm", build)
-
-
-def test_fd_attention_masked():
-    def build(rng):
-        q = t64(rng.normal(size=(2, 5, 8)))
-        k = t64(rng.normal(size=(2, 5, 8)))
-        v = t64(rng.normal(size=(2, 5, 8)))
-        mask = _causal_mask(5)
-        def make():
-            return _proj_scalar(attention(q, k, v, mask=mask))
-        return make, [q, k, v]
-    _fd_case("attention", build)
-
-
-def test_fd_conv_patchify():
-    def build(rng):
-        img = t64(rng.normal(size=(2, 8, 8, 3)))
-        kern = t64(rng.normal(size=(48, 6)))
-        def make():
-            return _proj_scalar(conv_patchify(img, kern, 4))
-        return make, [img, kern]
-    _fd_case("conv_patchify", build)
-
-
-def test_fd_embedding():
-    def build(rng):
-        table = t64(rng.normal(size=(9, 5)))
-        ids = rng.integers(0, 9, size=(2, 6))
-        def make():
-            return _proj_scalar(embedding(table, ids))
-        return make, [table]
-    _fd_case("embedding", build)
-
-
-def test_fd_concat_transpose_reshape():
-    def build(rng):
-        a = t64(rng.normal(size=(2, 3, 4)))
-        b = t64(rng.normal(size=(2, 2, 4)))
-        def make():
-            c = concat([a, b], axis=1)
-            c = transpose(c, (0, 2, 1))
-            return _proj_scalar(reshape(c, (2, 20)))
-        return make, [a, b]
-    _fd_case("concat/transpose/reshape", build)
-
-
-def test_fd_cross_entropy():
-    def build(rng):
-        logits = t64(rng.normal(size=(2, 4, 7)))
-        targets = rng.integers(0, 7, size=(2, 4))
-        mask = np.ones((2, 4))
-        mask[0, 3] = 0.0
-        def make():
-            return cross_entropy_masked(logits, targets, mask)
-        return make, [logits]
-    _fd_case("cross_entropy", build)
+def test_blas_thread_pin_took_effect():
+    # conftest.py sets the thread count before numpy loads OpenBLAS; set
+    # any later, it would be ignored without a word
+    threads = _openblas_threads()
+    if threads is None:
+        pytest.skip("numpy here does not bundle OpenBLAS")
+    assert threads == int(os.environ["OPENBLAS_NUM_THREADS"])
 
 
 # ---------------------------------------------------------------------------
