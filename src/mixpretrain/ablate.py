@@ -20,26 +20,25 @@ import statistics
 from . import atomic_write, tasksynth
 from .config import RunConfig, render_config
 from .runner import load_run_report, run_complete, run_training
-from .tasksynth import EASY, HARD, TaskKind
+from .tasksynth import EASY, HARD, KIND_NAMES, TaskKind
 
 # kind-name lists in TaskKind order: the object-aware list task is split from
 # the three object questions because the paper's grids treat them apart
 CM_KINDS = [k.value for k in tasksynth.CM_KINDS]
 OA_LIST = [TaskKind.OA_LIST.value]
 OA_QUESTIONS = [k.value for k in tasksynth.OA_KINDS if k is not TaskKind.OA_LIST]
-ALL_KINDS = CM_KINDS + OA_LIST + OA_QUESTIONS
 
 # mixture-composition grid: one row per training recipe
 TABLE1 = [
-    ("caption_only", ["caption"], EASY),
-    ("mlm_only", ["mlm"], EASY),
+    ("caption_only", [TaskKind.CAPTION.value], EASY),
+    ("mlm_only", [TaskKind.MLM.value], EASY),
     ("cm_mix", CM_KINDS, EASY),
     ("cm_mix_hard", CM_KINDS, HARD),
     ("cm_mix_oa_list", CM_KINDS + OA_LIST, EASY),
     ("oa_234", OA_QUESTIONS, EASY),
     ("cm_mix_oa_234", CM_KINDS + OA_QUESTIONS, EASY),
-    ("cm_mix_oa_mix", ALL_KINDS, EASY),
-    ("cm_mix_hard_oa_mix", ALL_KINDS, HARD),
+    ("cm_mix_oa_mix", KIND_NAMES, EASY),
+    ("cm_mix_hard_oa_mix", KIND_NAMES, HARD),
 ]
 
 # negative-policy grid: each object question trained alone, easy vs hard
@@ -80,8 +79,9 @@ def variant_metrics(report):
         out["cm_em"] = sum(cm) / len(cm)
     if oa:
         out["oa_em"] = sum(oa) / len(oa)
-    if "caption" in per and "cider" in per["caption"]:
-        out["caption_cider"] = per["caption"]["cider"]
+    caption = per.get(TaskKind.CAPTION, {})
+    if "cider" in caption:
+        out["caption_cider"] = caption["cider"]
     return out
 
 
@@ -102,7 +102,7 @@ def run_grid(grid, base, out_root, seeds=(0, 1, 2), jobs=1, eval_kinds=None, log
     say = log or (lambda msg: None)
     if isinstance(grid, str):
         grid = GRIDS[grid]
-    eval_kinds = list(eval_kinds) if eval_kinds else ALL_KINDS
+    eval_kinds = list(eval_kinds) if eval_kinds else KIND_NAMES
     os.makedirs(out_root, exist_ok=True)
 
     jobs_list = [

@@ -25,7 +25,13 @@ import sys
 
 from . import __version__, load_bundled_lexicon
 from .ablate import GRIDS, OA_QUESTIONS, easy_hard_matrix, run_grid, write_easy_hard_csv
-from .config import default_config_text, load_run_config, parse_run_config, render_config
+from .config import (
+    default_config_text,
+    load_run_config,
+    parse_kinds,
+    parse_run_config,
+    render_config,
+)
 from .corpus import (
     BuildError,
     ConfigError,
@@ -97,13 +103,7 @@ def cmd_ingest(args):
 def _parse_kinds(text):
     if not text or text == "all":
         return list(TaskKind)
-    out = []
-    for part in text.replace(",", " ").split():
-        try:
-            out.append(TaskKind(part))
-        except ValueError:
-            raise ConfigError(f"unknown task kind {part!r}") from None
-    return out
+    return parse_kinds(text.replace(",", " ").split())
 
 
 def cmd_synth(args):
@@ -152,7 +152,7 @@ def cmd_eval(args):
     state = load_checkpoint(os.path.join(run_dir, CHECKPOINT))
     vocab = Vocab.load(os.path.join(run_dir, "vocab.json"))
     corpus, _ = _load_or_synth_corpus(cfg)
-    check_checkpoint(state, cfg, vocab, corpus)
+    check_checkpoint(state, cfg, corpus, vocab)
     model, _ = restore_model(state)
     _, eval_ids = split_image_ids(corpus.image_ids(), cfg.eval_split, cfg.seed)
     if not eval_ids:

@@ -9,9 +9,7 @@ import io
 from dataclasses import dataclass, field, asdict
 
 from .corpus import ConfigError
-from .tasksynth import TaskKind, EASY, HARD
-
-ALL_KINDS = [k.value for k in TaskKind]
+from .tasksynth import EASY, HARD, KIND_NAMES, TaskKind
 
 # section -> key -> (type tag, default).  Unknown keys are config errors:
 # silently ignoring a typo like "n_layer" would corrupt an ablation.
@@ -30,7 +28,7 @@ _SCHEMA = {
         "hidden_rate": ("float", 0.0),
     },
     "tasks": {
-        "kinds": ("list", ALL_KINDS),
+        "kinds": ("list", KIND_NAMES),
         "policy": ("str", EASY),
         "count_per_kind": ("int", 400),
         "mlm_mask_rate": ("float", 0.15),
@@ -63,6 +61,17 @@ _SCHEMA = {
     },
 }
 
+# every other int key must be at least 1
+_NON_NEGATIVE_INTS = {("run", "seed"), ("train", "checkpoint_every")}
+
+
+def parse_kinds(names, what="task kind"):
+    """The TaskKinds named by ``names``; an unknown name is a ConfigError."""
+    unknown = [n for n in names if n not in KIND_NAMES]
+    if unknown:
+        raise ConfigError(f"unknown {what} {unknown[0]!r}")
+    return [TaskKind(n) for n in names]
+
 
 @dataclass
 class RunConfig:
@@ -89,6 +98,19 @@ class RunConfig:
         d = asdict(self)
         d.pop("source_text")
         return d
+
+
+def _sections(cfg):
+    """section -> key -> value of a RunConfig, in schema layout."""
+    return {
+        "run": {"seed": cfg.seed, "out": cfg.out, "eval_split": cfg.eval_split},
+        "corpus": cfg.corpus,
+        "tasks": cfg.tasks,
+        "mixture": {"weights": cfg.weights},
+        "schedule": cfg.schedule,
+        "model": cfg.model,
+        "train": cfg.train,
+    }
 
 
 def _defaults():
@@ -149,19 +171,21 @@ def _validate(cfg):
         raise ConfigError(f"corpus source must be synth or dir, got {cfg.corpus['source']!r}")
     if cfg.corpus["source"] == "dir" and not cfg.corpus["dir"]:
         raise ConfigError("corpus source=dir requires a dir path")
-    known = set(ALL_KINDS)
-    for k in cfg.kinds:
-        if k not in known:
-            raise ConfigError(f"unknown task kind {k!r}")
+    sections = _sections(cfg)
+    for section, keys in _SCHEMA.items():
+        for key, (tag, _) in keys.items():
+            value = sections[section][key]
+            lo = 0 if (section, key) in _NON_NEGATIVE_INTS else 1
+            if tag == "int" and value < lo:
+                raise ConfigError(f"[{section}] {key} must be >= {lo}, got {value}")
+    parse_kinds(cfg.kinds)
     if not cfg.kinds:
         raise ConfigError("at least one task kind required")
     if len(set(cfg.kinds)) != len(cfg.kinds):
         raise ConfigError("duplicate task kinds")
     if cfg.tasks["policy"] not in (EASY, HARD):
         raise ConfigError(f"policy must be {EASY} or {HARD}")
-    for k in cfg.train["eval_kinds"]:
-        if k not in known:
-            raise ConfigError(f"unknown eval kind {k!r}")
+    parse_kinds(cfg.train["eval_kinds"], "eval kind")
     if cfg.weights and len(cfg.weights) != len(cfg.kinds):
         raise ConfigError("mixture weights must match task kinds in length")
     if cfg.corpus["source"] == "synth" and cfg.image_size % cfg.model["patch"] != 0:
@@ -182,16 +206,7 @@ def load_run_config(path):
 def render_config(cfg):
     """INI text for a RunConfig; used when no source file exists to echo."""
     parser = configparser.ConfigParser()
-    values = {
-        "run": {"seed": cfg.seed, "out": cfg.out, "eval_split": cfg.eval_split},
-        "corpus": cfg.corpus,
-        "tasks": cfg.tasks,
-        "mixture": {"weights": " ".join(str(w) for w in cfg.weights)},
-        "schedule": cfg.schedule,
-        "model": cfg.model,
-        "train": cfg.train,
-    }
-    for sec, keys in values.items():
+    for sec, keys in _sections(cfg).items():
         parser[sec] = {}
         for k, v in keys.items():
             parser[sec][k] = " ".join(str(x) for x in v) if isinstance(v, list) else str(v)

@@ -17,7 +17,9 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from . import atomic_write
+from .corpus import ParseError
 from .mixture import make_batch
+from .tasksynth import TaskKind
 
 
 def normalize_answer(text):
@@ -162,10 +164,6 @@ class EvalReport:
         )
 
 
-CAPTION_KIND = "caption"
-LIST_KIND = "oa_list"
-
-
 def _strip_hidden(prediction, hidden_names):
     parts = [p for p in normalize_answer(prediction).split(", ") if p]
     kept = [p for p in parts if p not in hidden_names]
@@ -187,7 +185,7 @@ def score_items(items, n_max=4, sigma=6.0, fingerprints=None):
     for it in items:
         em = exact_match(it.prediction, it.ground_truths)
         row = {"id": it.example_id, "kind": it.kind, "prediction": it.prediction, "exact_match": em}
-        if em == 0 and it.kind == LIST_KIND and it.hidden_names:
+        if em == 0 and it.kind == TaskKind.OA_LIST and it.hidden_names:
             stripped = _strip_hidden(it.prediction, set(it.hidden_names))
             if stripped and exact_match(stripped, it.ground_truths) == 1:
                 penalties += 1
@@ -200,7 +198,7 @@ def score_items(items, n_max=4, sigma=6.0, fingerprints=None):
     for kind, pairs in sorted(by_kind.items()):
         ems = [r["exact_match"] for _, r in pairs]
         per_task[kind] = {"n": len(pairs), "exact_match": sum(ems) / len(ems)}
-        if kind == CAPTION_KIND:
+        if kind == TaskKind.CAPTION:
             cands = [it.prediction for it, _ in pairs]
             refs = [it.ground_truths for it, _ in pairs]
             with warnings.catch_warnings():
@@ -250,19 +248,18 @@ def evaluate(model, vocab, examples, images, corpus=None, batch_size=64):
     preds = predict(model, vocab, examples, images, batch_size=batch_size)
     items = []
     for i, (ex, pred) in enumerate(zip(examples, preds)):
-        kind = ex.kind.value if hasattr(ex.kind, "value") else str(ex.kind)
         gts = [ex.target]
         hidden = ()
         if corpus is not None:
-            if kind == CAPTION_KIND and corpus.captions.get(ex.image_id):
+            if ex.kind == TaskKind.CAPTION and corpus.captions.get(ex.image_id):
                 gts = [c.caption for c in corpus.captions[ex.image_id]]
-            if kind == LIST_KIND:
+            if ex.kind == TaskKind.OA_LIST:
                 hidden = _hidden_display_names(corpus, ex.image_id)
         items.append(EvalItem(
             example_id=f"{i:06d}:{ex.image_id}",
             prediction=pred,
             ground_truths=gts,
-            kind=kind,
+            kind=ex.kind.value,
             hidden_names=hidden,
         ))
     fingerprints = {"vocab": vocab.fingerprint()}
@@ -280,14 +277,28 @@ def write_predictions(path, ids, predictions):
             f.write(json.dumps({"id": i, "prediction": p}) + "\n")
 
 
-def read_predictions(path):
-    out = {}
+def _jsonl_rows(path, keys):
+    """Yield (line number, object) for each non-blank line of a JSONL file.
+    A line that is not a JSON object holding every one of ``keys`` raises
+    ParseError naming the path and line."""
     with open(path) as f:
-        for line in f:
-            if line.strip():
+        for n, line in enumerate(f, 1):
+            if not line.strip():
+                continue
+            try:
                 obj = json.loads(line)
-                out[obj["id"]] = obj["prediction"]
-    return out
+            except json.JSONDecodeError as e:
+                raise ParseError(f"{path}:{n}: not JSON ({e.msg})") from None
+            if not isinstance(obj, dict):
+                raise ParseError(f"{path}:{n}: not a JSON object")
+            missing = [k for k in keys if k not in obj]
+            if missing:
+                raise ParseError(f"{path}:{n}: missing {', '.join(missing)}")
+            yield n, obj
+
+
+def read_predictions(path):
+    return {obj["id"]: obj["prediction"] for _, obj in _jsonl_rows(path, ("id", "prediction"))}
 
 
 def write_ground_truth(path, items):
@@ -302,12 +313,11 @@ def write_ground_truth(path, items):
 
 def read_ground_truth(path):
     rows = []
-    with open(path) as f:
-        for line in f:
-            if line.strip():
-                obj = json.loads(line)
-                rows.append((obj["id"], obj["answers"], obj.get("kind", "unknown"),
-                             tuple(obj.get("hidden", ()))))
+    for n, obj in _jsonl_rows(path, ("id", "answers")):
+        if not isinstance(obj["answers"], list):
+            raise ParseError(f"{path}:{n}: answers is not a list")
+        rows.append((obj["id"], obj["answers"], obj.get("kind", "unknown"),
+                     tuple(obj.get("hidden", ()))))
     return rows
 
 

@@ -188,7 +188,7 @@ def _model_d8(rng):
         return model.forward(images, prompts, targets, prompt_mask=prompt_mask,
                              loss_mask=loss_mask)[1]
 
-    return make_loss, [p.value for p in model.parameters()]
+    return make_loss, model.parameters()
 
 
 class Case(NamedTuple):

@@ -244,9 +244,6 @@ class Model:
 
     # -- helpers ----------------------------------------------------------
 
-    def _t(self, name):
-        return self.params[name].value
-
     def zero_grads(self):
         for p in self.params.values():
             p.zero_grad()
@@ -267,26 +264,26 @@ class Model:
         """Multi-head attention.  With a ``cache`` dict, keys/values live under
         ``prefix``: those projected from ``xkv`` are appended to the cached
         ones, and ``xkv=None`` reuses the cached ones as they are."""
-        q = self._split_heads(matmul(xq, self._t(f"{prefix}.wq")))
+        q = self._split_heads(matmul(xq, self.params[f"{prefix}.wq"]))
         if xkv is None:
             k, v = cache[prefix]
         else:
-            k = self._split_heads(matmul(xkv, self._t(f"{prefix}.wk")))
-            v = self._split_heads(matmul(xkv, self._t(f"{prefix}.wv")))
+            k = self._split_heads(matmul(xkv, self.params[f"{prefix}.wk"]))
+            v = self._split_heads(matmul(xkv, self.params[f"{prefix}.wv"]))
             if cache is not None:
                 if prefix in cache:
                     k = concat([cache[prefix][0], k], axis=2)
                     v = concat([cache[prefix][1], v], axis=2)
                 cache[prefix] = (k, v)
         out = self._merge_heads(attention(q, k, v, mask=mask))
-        return matmul(out, self._t(f"{prefix}.wo"))
+        return matmul(out, self.params[f"{prefix}.wo"])
 
     def _ff(self, prefix, x):
-        h = relu(matmul(x, self._t(f"{prefix}.w1")) + self._t(f"{prefix}.b1"))
-        return matmul(h, self._t(f"{prefix}.w2")) + self._t(f"{prefix}.b2")
+        h = relu(matmul(x, self.params[f"{prefix}.w1"]) + self.params[f"{prefix}.b1"])
+        return matmul(h, self.params[f"{prefix}.w2"]) + self.params[f"{prefix}.b2"]
 
     def _ln(self, prefix, x):
-        return layer_norm(x, self._t(f"{prefix}.g"), self._t(f"{prefix}.b"))
+        return layer_norm(x, self.params[f"{prefix}.g"], self.params[f"{prefix}.b"])
 
     # -- encoder / decoder -------------------------------------------------
 
@@ -300,13 +297,13 @@ class Model:
         if P > cfg.max_prompt:
             raise ShapeError(f"prompt length {P} > max {cfg.max_prompt}")
 
-        vis = conv_patchify(Tensor(np.asarray(images, dtype=self.dtype)), self._t("patch.kernel"), cfg.patch)
-        vis = vis + reshape(embedding(self._t("embed.vis_pos"), np.arange(cfg.n_vision)), (1, cfg.n_vision, cfg.d_model))
-        vis = vis + reshape(embedding(self._t("embed.type"), np.array([0])), (1, 1, cfg.d_model))
+        vis = conv_patchify(Tensor(np.asarray(images, dtype=self.dtype)), self.params["patch.kernel"], cfg.patch)
+        vis = vis + reshape(embedding(self.params["embed.vis_pos"], np.arange(cfg.n_vision)), (1, cfg.n_vision, cfg.d_model))
+        vis = vis + reshape(embedding(self.params["embed.type"], np.array([0])), (1, 1, cfg.d_model))
 
-        txt = embedding(self._t("embed.tok"), prompt_ids)
-        txt = txt + reshape(embedding(self._t("embed.txt_pos"), np.arange(P)), (1, P, cfg.d_model))
-        txt = txt + reshape(embedding(self._t("embed.type"), np.array([1])), (1, 1, cfg.d_model))
+        txt = embedding(self.params["embed.tok"], prompt_ids)
+        txt = txt + reshape(embedding(self.params["embed.txt_pos"], np.arange(P)), (1, P, cfg.d_model))
+        txt = txt + reshape(embedding(self.params["embed.type"], np.array([1])), (1, 1, cfg.d_model))
 
         x = concat([vis, txt], axis=1)
 
@@ -336,8 +333,8 @@ class Model:
         T = dec_ids.shape[1]
         if start + T > cfg.max_target:
             raise ShapeError(f"target length {start + T} > max {cfg.max_target}")
-        x = embedding(self._t("embed.tok"), dec_ids)
-        x = x + reshape(embedding(self._t("embed.dec_pos"), np.arange(start, start + T)), (1, T, cfg.d_model))
+        x = embedding(self.params["embed.tok"], dec_ids)
+        x = x + reshape(embedding(self.params["embed.dec_pos"], np.arange(start, start + T)), (1, T, cfg.d_model))
         causal = _causal_mask(T, self.dtype, start)
         for i in range(cfg.n_decoder_layers):
             cross = f"dec{i}.cross"
@@ -348,7 +345,7 @@ class Model:
             x = x + self._ff(f"dec{i}.ff", self._ln(f"dec{i}.ln3", x))
         x = self._ln("dec.ln_f", x)
         # tied output projection
-        return matmul(x, transpose(self._t("embed.tok"), (1, 0)))
+        return matmul(x, transpose(self.params["embed.tok"], (1, 0)))
 
     def forward(self, images, prompt_ids, target_ids, prompt_mask=None, loss_mask=None):
         """Teacher-forced step.  Returns (logits, loss)."""

@@ -406,28 +406,14 @@ def backward(loss):
 # ---------------------------------------------------------------------------
 # parameters and optimizer
 
-class Parameter:
+class Parameter(Tensor):
+    """A named leaf tensor that requires a gradient."""
+
+    __slots__ = ("name",)
+
     def __init__(self, name, data):
+        super().__init__(data, requires_grad=True)
         self.name = name
-        self.value = Tensor(np.asarray(data), requires_grad=True)
-
-    @property
-    def data(self):
-        return self.value.data
-
-    @data.setter
-    def data(self, arr):
-        self.value.data = arr
-
-    @property
-    def grad(self):
-        return self.value.grad
-
-    def zero_grad(self):
-        self.value.zero_grad()
-
-    def __repr__(self):
-        return f"Parameter({self.name}, shape={self.value.data.shape})"
 
 
 @dataclass

@@ -31,6 +31,7 @@ from .model import (
     train,
 )
 from .tasksynth import (
+    EASY,
     SynthConfig,
     TaskKind,
     load_task_file,
@@ -73,11 +74,11 @@ def _load_or_synth_corpus(cfg):
     return corpus, load_bundled_lexicon()
 
 
-def _synth_config(cfg, seed):
+def _synth_config(cfg, policy):
     t = cfg.tasks
-    return SynthConfig(seed=seed, mlm_mask_rate=t["mlm_mask_rate"],
+    return SynthConfig(seed=cfg.seed, mlm_mask_rate=t["mlm_mask_rate"],
                        mlm_mean_span=t["mlm_mean_span"],
-                       yes_no_balance=t["yes_no_balance"], policy=t["policy"])
+                       yes_no_balance=t["yes_no_balance"], policy=policy)
 
 
 def _model_config(cfg, vocab_size):
@@ -89,15 +90,17 @@ def _model_config(cfg, vocab_size):
                        max_prompt=m["max_prompt"], max_target=m["max_target"])
 
 
-def check_checkpoint(state, cfg, vocab, corpus):
+def check_checkpoint(state, cfg, corpus, vocab=None):
     """Refuse a checkpoint written under another vocab, corpus or model
-    config than the run ``cfg`` rebuilds; the error names what differs."""
+    config than the run ``cfg`` rebuilds; the error names what differs.
+    Without ``vocab``, which only synthesis can rebuild, the vocab and the
+    model's vocab_size are not compared."""
     diffs = []
-    if state.vocab_fingerprint != vocab.fingerprint():
+    if vocab is not None and state.vocab_fingerprint != vocab.fingerprint():
         diffs.append("vocab")
     if state.corpus_fingerprint != corpus.fingerprint():
         diffs.append("corpus")
-    mcfg = _model_config(cfg, len(vocab))
+    mcfg = _model_config(cfg, state.config.vocab_size if vocab is None else len(vocab))
     changed = [f"{f.name} {getattr(state.config, f.name)} -> {getattr(mcfg, f.name)}"
                for f in dataclasses.fields(mcfg)
                if getattr(state.config, f.name) != getattr(mcfg, f.name)]
@@ -137,13 +140,22 @@ def run_training(cfg: RunConfig, resume=False, log=None):
     run.json).  With ``resume``, continues from the run's checkpoint."""
     say = log or (lambda msg: None)
     run_dir = cfg.out
-    os.makedirs(run_dir, exist_ok=True)
     t0 = time.perf_counter()
     stage_ends = []  # (stage, seconds since t0) as each stage finishes
 
     def stage_done(name):
         stage_ends.append((name, time.perf_counter() - t0))
 
+    corpus, lexicon = _load_or_synth_corpus(cfg)
+    ckpt_path = os.path.join(run_dir, CHECKPOINT)
+    state = None
+    if resume and os.path.exists(ckpt_path):
+        # refuse before the run directory changes; the vocab check has to
+        # wait until synthesis has rebuilt the vocab
+        state = load_checkpoint(ckpt_path)
+        check_checkpoint(state, cfg, corpus)
+
+    os.makedirs(run_dir, exist_ok=True)
     # results of an earlier run must not pass for results of this config
     for name in (EVAL_REPORT, PREDICTIONS, RUN_REPORT):
         with contextlib.suppress(FileNotFoundError):
@@ -152,7 +164,6 @@ def run_training(cfg: RunConfig, resume=False, log=None):
     with open(os.path.join(run_dir, CONFIG_ECHO), "w") as f:
         f.write(config_text)
 
-    corpus, lexicon = _load_or_synth_corpus(cfg)
     train_ids, eval_ids = split_image_ids(corpus.image_ids(), cfg.eval_split, cfg.seed)
     train_corpus = corpus.subset(train_ids)
     eval_corpus = corpus.subset(eval_ids) if eval_ids else None
@@ -160,7 +171,7 @@ def run_training(cfg: RunConfig, resume=False, log=None):
     stage_done("corpus")
 
     kinds = [TaskKind(k) for k in cfg.kinds]
-    scfg = _synth_config(cfg, cfg.seed)
+    scfg = _synth_config(cfg, cfg.tasks["policy"])
     tasks_dir = os.path.join(run_dir, "tasks")
     paths = write_task_files(train_corpus, kinds, cfg.tasks["count_per_kind"], scfg,
                              tasks_dir, lexicon=lexicon)
@@ -170,21 +181,19 @@ def run_training(cfg: RunConfig, resume=False, log=None):
     stage_done("tasks")
 
     vocab = build_vocab(all_train)
+    if state is not None:
+        check_checkpoint(state, cfg, corpus, vocab)
     vocab.save(os.path.join(run_dir, "vocab.json"))
     say(f"vocab: {len(vocab)} tokens")
     stage_done("vocab")
 
-    mcfg = _model_config(cfg, len(vocab))
-    ckpt_path = os.path.join(run_dir, CHECKPOINT)
     start_step = 0
-    if resume and os.path.exists(ckpt_path):
-        state = load_checkpoint(ckpt_path)
-        check_checkpoint(state, cfg, vocab, corpus)
+    if state is not None:
         model, opt = restore_model(state)
         start_step = state.step
         say(f"resumed at step {start_step}")
     else:
-        model = Model(mcfg, seed=cfg.seed)
+        model = Model(_model_config(cfg, len(vocab)), seed=cfg.seed)
         opt = AdamState(lr=cfg.train["lr"])
 
     weights = cfg.weights or None
@@ -251,11 +260,9 @@ def eval_questions(cfg, eval_corpus):
     """Probe set on eval images, easy policy.  ``eval_kinds`` makes the probe
     independent of the training mixture, so ablation variants trained on
     different kinds still answer the same questions."""
-    probe = SynthConfig(seed=cfg.seed, mlm_mask_rate=cfg.tasks["mlm_mask_rate"],
-                        mlm_mean_span=cfg.tasks["mlm_mean_span"],
-                        yes_no_balance=cfg.tasks["yes_no_balance"])
     kinds = [TaskKind(k) for k in (cfg.train["eval_kinds"] or cfg.kinds)]
-    return list(synth_dataset(eval_corpus, kinds, cfg.train["eval_count_per_kind"], probe))
+    return list(synth_dataset(eval_corpus, kinds, cfg.train["eval_count_per_kind"],
+                              _synth_config(cfg, EASY)))
 
 
 def evaluate_run(model, vocab, cfg, eval_corpus, run_dir):

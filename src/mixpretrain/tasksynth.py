@@ -6,9 +6,12 @@ matching, span-corruption MLM) and four object-aware tasks built from labels
 easy/hard policy: easy negatives are random captions / absent class names,
 hard negatives are single-noun caption swaps / human-verified negative labels.
 
-All generators are pure functions of (inputs, rng); `synth_dataset` keys each
-example's rng by (seed, kind, image_id, cycle) so output is deterministic and
-independent of generation order.
+`task_source` alone decides whether an image can supply a kind, and hands
+over what it supplies: its usable captions, or its positive and distractor
+object names.  The generators are pure functions of that material and an
+rng, and build an example from any material `task_source` returns.
+`synth_dataset` keys each example's rng by (seed, kind, image_id, cycle) so
+output is deterministic and independent of generation order.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ class TaskKind(str, Enum):
     OA_WHICH = "oa_which"
 
 
+KIND_NAMES = [k.value for k in TaskKind]
 CM_KINDS = (TaskKind.CAPTION, TaskKind.COMPLETION, TaskKind.ITM, TaskKind.MLM)
 OA_KINDS = (TaskKind.OA_LIST, TaskKind.OA_EXISTS, TaskKind.OA_ANDOR, TaskKind.OA_WHICH)
 
@@ -44,10 +48,6 @@ MAX_SENTINELS = 16
 
 class NoNounFound(ValueError):
     """Caption contains no lexicon noun to replace."""
-
-
-class PolicyUnavailable(ValueError):
-    """The negative pool required by the active policy is empty."""
 
 
 class SynthesisError(ValueError):
@@ -135,10 +135,8 @@ def synth_caption(record):
 
 
 def synth_completion(record, cfg, rng):
-    """Prefix -> suffix completion.  Returns None (skip) on captions < 4 tokens."""
+    """Prefix -> suffix completion of a caption of at least 4 tokens."""
     toks = normalize_caption(record.caption).split()
-    if len(toks) < 4:
-        return None
     lo, hi = cfg.completion_split
     split = int(round(rng.uniform(lo, hi) * len(toks)))
     split = max(1, min(len(toks) - 1, split))
@@ -208,9 +206,10 @@ def caption_pool(corpus):
 def synth_itm(record, pool, lexicon, cfg, rng):
     """Image-text matching: yes for the true caption, no for a negative.
 
-    Easy negatives are drawn from ``pool`` (the corpus's `caption_pool`).
-    Hard negatives rewrite one noun; when the caption has no lexicon noun the
-    generator falls back to an easy negative and records it in meta.
+    Easy negatives are drawn from ``pool`` (the corpus's `caption_pool`),
+    which holds a caption of another image.  Hard negatives rewrite one
+    noun; when the caption has no lexicon noun the generator falls back to
+    an easy negative and records it in meta.
     """
     caption = normalize_caption(record.caption)
     meta = {"policy": cfg.policy}
@@ -229,8 +228,6 @@ def synth_itm(record, pool, lexicon, cfg, rng):
                 meta["fallback"] = True
         if text is None:
             n = pool.n_others(record.image_id)
-            if not n:
-                raise PolicyUnavailable("easy ITM negative needs a caption from another image")
             text = normalize_caption(pool.other(record.image_id, rng.randrange(n)).caption)
     return TaskExample(
         image_id=record.image_id,
@@ -254,12 +251,11 @@ def synth_mlm(record, cfg, rng):
     """Span corruption: mask ~mask_rate of tokens with sentinel markers.
 
     Prompt is the caption with each masked span replaced by <extra_k>; target
-    concatenates the sentinels with the tokens they hid.  Skips (<4 tokens).
+    concatenates the sentinels with the tokens they hid.  The caption has at
+    least 4 tokens, so the first span always fits.
     """
     toks = normalize_caption(record.caption).split()
     n = len(toks)
-    if n < 4:
-        return None
     goal = max(1, int(round(cfg.mlm_mask_rate * n)))
     covered = [False] * n
 
@@ -290,8 +286,6 @@ def synth_mlm(record, cfg, rng):
         for i in range(s, s + length):
             covered[i] = True
         masked += length
-    if not spans:
-        return None
 
     spans.sort()
     prompt_toks, target_toks = [], []
@@ -315,15 +309,10 @@ def synth_mlm(record, cfg, rng):
 # ---------------------------------------------------------------------------
 # object-aware generators
 
-def synth_oa_list(image_labels, class_table):
-    """'list all objects' -> lexicographically sorted positive display names."""
-    positives = sorted(
-        {class_table[l.class_id].display_name for l in image_labels if l.presence == "positive"}
-    )
-    if not positives:
-        return None
+def synth_oa_list(image_id, positives):
+    """'list all objects' -> the sorted positive display names."""
     return TaskExample(
-        image_id=image_labels[0].image_id,
+        image_id=image_id,
         kind=TaskKind.OA_LIST,
         prompt="list all objects",
         target=", ".join(positives),
@@ -342,18 +331,12 @@ def distractor_names(corpus, image_id, policy):
     return sorted(corpus.display_name(c) for c in corpus.verified_negative_class_ids(image_id))
 
 
-def synth_oa_exists(image_id, corpus, cfg, rng):
+def synth_oa_exists(image_id, positives, distractors, cfg, rng):
     """'does X exist?' with a positive or a policy-drawn absent object."""
-    positives = sorted(set(corpus.positive_names(image_id)))
-    if not positives:
-        return None
-    pool = distractor_names(corpus, image_id, cfg.policy)
-    if not pool:
-        raise PolicyUnavailable(f"{cfg.policy} negatives unavailable for {image_id}")
     if rng.random() < cfg.yes_no_balance:
         name, target = positives[rng.randrange(len(positives))], "yes"
     else:
-        name, target = pool[rng.randrange(len(pool))], "no"
+        name, target = distractors[rng.randrange(len(distractors))], "no"
     return TaskExample(
         image_id=image_id,
         kind=TaskKind.OA_EXISTS,
@@ -372,23 +355,15 @@ def _join_candidates(names, connective):
     return f"{', '.join(names[:-1])} {connective} {names[-1]}"
 
 
-def synth_oa_andor(image_id, corpus, cfg, rng):
+def synth_oa_andor(image_id, positives, distractors, cfg, rng):
     """'does a, b and/or c exist?' with truth-table target.
 
     The target is balanced toward yes_no_balance by re-drawing the candidate
     composition a bounded number of times, then accepting whatever came up.
     """
-    positives = set(corpus.positive_names(image_id))
-    if not positives:
-        return None
-    pool = distractor_names(corpus, image_id, cfg.policy)
-    if not pool:
-        raise PolicyUnavailable(f"{cfg.policy} negatives unavailable for {image_id}")
-    union = sorted(positives | set(pool))
+    positives = set(positives)
+    union = sorted(positives | set(distractors))
     feasible = [k for k in cfg.andor_k if k <= len(union)]
-    if not feasible:
-        return None
-
     k = feasible[rng.randrange(len(feasible))]
     connective = ("and", "or")[rng.randrange(2)]
     want_yes = rng.random() < cfg.yes_no_balance
@@ -409,20 +384,10 @@ def synth_oa_andor(image_id, corpus, cfg, rng):
     )
 
 
-def synth_oa_which(image_id, corpus, cfg, rng):
+def synth_oa_which(image_id, positives, distractors, cfg, rng):
     """'which of a, b and c exist?' -> positive candidates in prompt order."""
-    positives = sorted(set(corpus.positive_names(image_id)))
-    if not positives:
-        return None
-    pool = distractor_names(corpus, image_id, cfg.policy)
-    if not pool:
-        raise PolicyUnavailable(f"{cfg.policy} negatives unavailable for {image_id}")
-    lo = max(1, 3 - len(pool))
-    hi = min(2, len(positives))
-    if lo > hi or len(positives) + len(pool) < 3:
-        return None
-    n_pos = rng.randint(lo, hi)
-    candidates = rng.sample(positives, n_pos) + rng.sample(pool, 3 - n_pos)
+    n_pos = rng.randint(max(1, 3 - len(distractors)), min(2, len(positives)))
+    candidates = rng.sample(positives, n_pos) + rng.sample(distractors, 3 - n_pos)
     rng.shuffle(candidates)
     positive_set = set(positives)
     return TaskExample(
@@ -444,114 +409,95 @@ def example_rng(seed, kind, image_id, cycle):
     return random.Random(int.from_bytes(digest, "big"))
 
 
-def _long_captions(corpus, image_id):
-    return [c for c in corpus.captions.get(image_id, []) if len(normalize_caption(c.caption).split()) >= 4]
+def task_source(kind, corpus, image_id, cfg, pool):
+    """What ``image_id`` supplies to build ``kind``, or None when it cannot
+    build it.  This is the only test of eligibility.
+
+    Caption kinds get the image's captions: completion and MLM only those of
+    at least 4 tokens, and ITM needs a caption of another image in ``pool``
+    (the corpus's `caption_pool`).  `oa_list` gets the sorted positive names;
+    the object questions get (positives, distractors), the distractors being
+    the policy's absent-object names, when together they fill the question.
+    """
+    if kind in CM_KINDS:
+        caps = corpus.captions.get(image_id, [])
+        if kind in (TaskKind.COMPLETION, TaskKind.MLM):
+            caps = [c for c in caps if len(normalize_caption(c.caption).split()) >= 4]
+        elif kind == TaskKind.ITM and not pool.n_others(image_id):
+            return None
+        return caps or None
+    positives = sorted(set(corpus.positive_names(image_id)))
+    if not positives:
+        return None
+    if kind == TaskKind.OA_LIST:
+        return positives
+    distractors = distractor_names(corpus, image_id, cfg.policy)
+    if not distractors:
+        return None
+    if kind == TaskKind.OA_ANDOR and len(set(positives) | set(distractors)) < min(cfg.andor_k):
+        return None
+    if kind == TaskKind.OA_WHICH and len(positives) + len(distractors) < 3:
+        return None
+    return positives, distractors
 
 
-def eligible_images(corpus, kind, cfg, pool=None):
-    """Sorted ids of images whose annotations can source the given kind.
-    ``pool`` is the corpus's `caption_pool`, built here for ITM when not given."""
-    if kind == TaskKind.ITM and pool is None:
-        pool = caption_pool(corpus)
+def _sources(corpus, kind, cfg, pool):
+    """(image_id, material) of every image that can source ``kind``, in id order."""
     out = []
     for image_id in corpus.image_ids():
-        caps = corpus.captions.get(image_id, [])
-        if kind == TaskKind.CAPTION:
-            ok = bool(caps)
-        elif kind in (TaskKind.COMPLETION, TaskKind.MLM):
-            ok = bool(_long_captions(corpus, image_id))
-        elif kind == TaskKind.ITM:
-            ok = bool(caps) and pool.n_others(image_id) > 0
-        else:
-            positives = set(corpus.positive_names(image_id))
-            if not positives:
-                ok = False
-            elif kind == TaskKind.OA_LIST:
-                ok = True
-            else:
-                pool = distractor_names(corpus, image_id, cfg.policy)
-                if not pool:
-                    ok = False
-                elif kind == TaskKind.OA_EXISTS:
-                    ok = True
-                elif kind == TaskKind.OA_ANDOR:
-                    ok = len(positives) + len(set(pool) - positives) >= min(cfg.andor_k)
-                else:  # OA_WHICH
-                    ok = (
-                        len(positives) + len(pool) >= 3
-                        and max(1, 3 - len(pool)) <= min(2, len(positives))
-                    )
-        if ok:
-            out.append(image_id)
+        material = task_source(kind, corpus, image_id, cfg, pool)
+        if material is not None:
+            out.append((image_id, material))
     return out
 
 
-def _generate_one(kind, corpus, image_id, cfg, rng, lexicon, pool):
-    if kind in (TaskKind.CAPTION, TaskKind.ITM):
-        caps = corpus.captions.get(image_id, [])
-    elif kind in (TaskKind.COMPLETION, TaskKind.MLM):
-        caps = _long_captions(corpus, image_id)
-    else:
-        caps = None
+def eligible_images(corpus, kind, cfg, pool=None):
+    """Sorted ids of images that can source ``kind`` (see `task_source`).
+    ``pool`` is the corpus's `caption_pool`, built here for ITM when not given."""
+    if kind == TaskKind.ITM and pool is None:
+        pool = caption_pool(corpus)
+    return [image_id for image_id, _ in _sources(corpus, kind, cfg, pool)]
 
-    if caps is not None:
-        if not caps:
-            return None
-        record = caps[0] if len(caps) == 1 else caps[rng.randrange(len(caps))]
-        if kind == TaskKind.CAPTION:
-            return synth_caption(record)
-        if kind == TaskKind.COMPLETION:
-            return synth_completion(record, cfg, rng)
-        if kind == TaskKind.ITM:
-            return synth_itm(record, pool, lexicon, cfg, rng)
-        return synth_mlm(record, cfg, rng)
 
-    if kind == TaskKind.OA_LIST:
-        return synth_oa_list(corpus.labels.get(image_id, []), corpus.classes)
-    if kind == TaskKind.OA_EXISTS:
-        return synth_oa_exists(image_id, corpus, cfg, rng)
-    if kind == TaskKind.OA_ANDOR:
-        return synth_oa_andor(image_id, corpus, cfg, rng)
-    if kind == TaskKind.OA_WHICH:
-        return synth_oa_which(image_id, corpus, cfg, rng)
-    raise ValueError(f"unknown kind {kind!r}")
+# kind -> generator(image_id, material, cfg, rng, lexicon, pool); a caption
+# kind's material is the one record drawn for the example
+_GENERATORS = {
+    TaskKind.CAPTION: lambda i, rec, cfg, rng, lex, pool: synth_caption(rec),
+    TaskKind.COMPLETION: lambda i, rec, cfg, rng, lex, pool: synth_completion(rec, cfg, rng),
+    TaskKind.ITM: lambda i, rec, cfg, rng, lex, pool: synth_itm(rec, pool, lex, cfg, rng),
+    TaskKind.MLM: lambda i, rec, cfg, rng, lex, pool: synth_mlm(rec, cfg, rng),
+    TaskKind.OA_LIST: lambda i, pos, cfg, rng, lex, pool: synth_oa_list(i, pos),
+    TaskKind.OA_EXISTS: lambda i, m, cfg, rng, lex, pool: synth_oa_exists(i, *m, cfg, rng),
+    TaskKind.OA_ANDOR: lambda i, m, cfg, rng, lex, pool: synth_oa_andor(i, *m, cfg, rng),
+    TaskKind.OA_WHICH: lambda i, m, cfg, rng, lex, pool: synth_oa_which(i, *m, cfg, rng),
+}
 
 
 def synth_dataset(corpus, kinds, count_per_kind, cfg, lexicon=None):
-    """Yield `count_per_kind` examples per kind, cycling images in id order.
+    """Yield `count_per_kind` examples per kind, cycling the eligible images
+    in id order.
 
-    Each example's rng is keyed by (seed, kind, image_id, cycle), so the stream
-    is reproducible and insensitive to evaluation order.  Skip signals hand the
-    slot to the next eligible image.  Raises SynthesisError when a kind has no
-    eligible image at all.
+    Each image's `task_source` material is computed once per kind.  Each
+    example's rng is keyed by (seed, kind, image_id, cycle), so the stream is
+    reproducible and insensitive to evaluation order.  Raises SynthesisError
+    when a kind has no eligible image at all.
     """
     hard_itm = cfg.policy == HARD and TaskKind.ITM in kinds
     if hard_itm and lexicon is None:
         raise SynthesisError(TaskKind.ITM, "hard policy needs a lexicon")
     pool = caption_pool(corpus) if TaskKind.ITM in kinds else None
     for kind in kinds:
-        eligible = eligible_images(corpus, kind, cfg, pool)
-        if not eligible:
+        sources = _sources(corpus, kind, cfg, pool)
+        if not sources:
             raise SynthesisError(kind)
-        uses = {}
-        produced = 0
-        position = 0
-        consecutive_skips = 0
-        while produced < count_per_kind:
-            image_id = eligible[position % len(eligible)]
-            position += 1
-            cycle = uses.get(image_id, 0)
-            uses[image_id] = cycle + 1
-            rng = example_rng(cfg.seed, kind, image_id, cycle)
-            example = _generate_one(kind, corpus, image_id, cfg, rng, lexicon, pool)
-            if example is None:
-                consecutive_skips += 1
-                if consecutive_skips > len(eligible):
-                    raise SynthesisError(kind, "every eligible image produced a skip")
-                continue
-            consecutive_skips = 0
-            produced += 1
-            yield example
+        generate = _GENERATORS[kind]
+        for n in range(count_per_kind):
+            image_id, material = sources[n % len(sources)]
+            rng = example_rng(cfg.seed, kind, image_id, n // len(sources))
+            if kind in CM_KINDS:  # draw the example's caption
+                k = 0 if len(material) == 1 else rng.randrange(len(material))
+                material = material[k]
+            yield generate(image_id, material, cfg, rng, lexicon, pool)
 
 
 def write_task_files(corpus, kinds, count_per_kind, cfg, out_dir, lexicon=None):

@@ -100,6 +100,28 @@ def test_bad_value_type_rejected():
         parse_run_config("[schedule]\ntotal_steps = many\n")
 
 
+@pytest.mark.parametrize("section, key, value", [
+    ("train", "eval_batch", 0),
+    ("train", "eval_count_per_kind", 0),
+    ("tasks", "count_per_kind", 0),
+    ("schedule", "total_steps", 0),
+    ("corpus", "n_images", -3),
+    ("run", "seed", -1),
+    ("train", "checkpoint_every", -1),
+])
+def test_int_key_below_its_minimum_rejected(section, key, value, tmp_path, capsys):
+    lo = 0 if key in ("seed", "checkpoint_every") else 1
+    message = f"[{section}] {key} must be >= {lo}, got {value}"
+    sections = {"run": f"out = {tmp_path / 'run'}\n"}
+    sections[section] = sections.get(section, "") + f"{key} = {value}\n"
+    ini = tmp_path / "run.ini"
+    ini.write_text("".join(f"[{name}]\n{body}" for name, body in sections.items()))
+    assert main(["train", "--config", str(ini)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not os.path.exists(tmp_path / "run")
+    parse_run_config(f"[{section}]\n{key} = {lo}\n")
+
+
 def test_bad_kind_rejected():
     with pytest.raises(ConfigError, match="oa_exits"):
         parse_run_config("[tasks]\nkinds = caption oa_exits\n")
@@ -306,15 +328,24 @@ def test_interrupted_rerun_leaves_no_old_results(micro_run, tmp_path, monkeypatc
 ], ids=["model", "corpus"])
 def test_resume_refuses_checkpoint_of_another_config(micro_run, tmp_path, capsys, old, new, named):
     out, ini = _copy_of_run(micro_run, tmp_path, old, new)
-    ckpt = os.path.join(out, "checkpoint.mpt")
-    with open(ckpt, "rb") as f:
-        before = f.read()
+    before = _dir_bytes(out)
     assert main(["train", "--config", str(ini), "--resume"]) == 2
     err = capsys.readouterr().err
     assert "checkpoint does not match this run" in err and named in err
     assert "Traceback" not in err
-    with open(ckpt, "rb") as f:
-        assert f.read() == before
+    # refused before anything in the run directory changed
+    assert _dir_bytes(out) == before
+
+
+def _dir_bytes(root):
+    """Relative path -> bytes of every file under ``root``."""
+    out = {}
+    for dirpath, _, files in os.walk(root):
+        for name in files:
+            path = os.path.join(dirpath, name)
+            with open(path, "rb") as f:
+                out[os.path.relpath(path, root)] = f.read()
+    return out
 
 
 def test_eval_refuses_tampered_vocab(micro_run, tmp_path, capsys):
@@ -479,6 +510,32 @@ def _truth_file(tmp_path, run_dir):
             f.write(json.dumps({"id": item["id"], "answers": [item["prediction"] or "x"],
                                 "kind": item["kind"]}) + "\n")
     return path
+
+
+@pytest.mark.parametrize("bad_file, row, problem", [
+    ("predictions", '[1, 2]', "not a JSON object"),
+    ("predictions", '{"id": "b"', "not JSON"),
+    ("predictions", '{"prediction": "x"}', "missing id"),
+    ("predictions", '{"id": "b"}', "missing prediction"),
+    ("truth", '"b"', "not a JSON object"),
+    ("truth", '{"answers": ["x"]}', "missing id"),
+    ("truth", '{"id": "b", "kind": "caption"}', "missing answers"),
+    ("truth", '{"id": "b", "answers": "x"}', "answers is not a list"),
+], ids=["pred-array", "pred-broken-json", "pred-no-id", "pred-no-prediction",
+        "truth-string", "truth-no-id", "truth-no-answers", "truth-answers-string"])
+def test_cli_score_rejects_a_malformed_row(tmp_path, capsys, bad_file, row, problem):
+    files = {"predictions": ['{"id": "a", "prediction": "x"}', '{"id": "b", "prediction": "y"}'],
+             "truth": ['{"id": "a", "answers": ["x"]}', '{"id": "b", "answers": ["y"]}']}
+    files[bad_file][1] = row
+    paths = {}
+    for name, rows in files.items():
+        paths[name] = str(tmp_path / f"{name}.jsonl")
+        with open(paths[name], "w") as f:
+            f.write("\n".join(rows) + "\n")
+    assert main(["score", "--predictions", paths["predictions"], "--truth", paths["truth"]]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {paths[bad_file]}:2: {problem}")
+    assert "Traceback" not in err
 
 
 def test_cli_train_seed_override_regenerates_echo(tmp_path):

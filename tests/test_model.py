@@ -422,7 +422,7 @@ def test_flat_adam_matches_per_parameter_reference(tmp_path):
         grads = {name: (rng.normal(size=p.data.shape) * 0.01).astype(np.float32)
                  for name, p in model.params.items()}
         for name, p in model.params.items():
-            p.value.grad = grads[name]
+            p.grad = grads[name]
         adam_step(model.parameters(), opt)
         _adam_reference(ref, grads, ref_m, ref_v, step, 2e-3)
         if step == 10:  # a rebound parameter and moment are adopted again

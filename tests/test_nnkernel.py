@@ -367,7 +367,7 @@ def test_blas_thread_pin_took_effect():
 def test_adam_zero_grad_no_move():
     p = Parameter("w", np.ones(4, dtype=np.float64))
     before = p.data.copy()
-    p.value.grad = np.zeros_like(p.data)
+    p.grad = np.zeros_like(p.data)
     adam_step([p], AdamState(lr=0.1))
     assert np.array_equal(p.data, before)
 
@@ -375,7 +375,7 @@ def test_adam_zero_grad_no_move():
 def test_adam_first_step_hand_value():
     # constant grad 1: bias-corrected mhat=vhat=1, delta = -lr/(1+eps)
     p = Parameter("w", np.array([0.5], dtype=np.float64))
-    p.value.grad = np.array([1.0])
+    p.grad = np.array([1.0])
     st = AdamState(lr=0.1)
     adam_step([p], st)
     assert abs(p.data[0] - (0.5 - 0.1)) < 1e-6
@@ -385,15 +385,15 @@ def test_adam_first_step_hand_value():
 def test_adam_identical_params_update_identically():
     a = Parameter("a", np.array([1.0, 2.0]))
     b = Parameter("b", np.array([1.0, 2.0]))
-    a.value.grad = np.array([0.3, -0.7])
-    b.value.grad = np.array([0.3, -0.7])
+    a.grad = np.array([0.3, -0.7])
+    b.grad = np.array([0.3, -0.7])
     adam_step([a, b], AdamState(lr=0.01))
     assert np.array_equal(a.data, b.data)
 
 
 def test_adam_nonfinite_grad_names_parameter():
     p = Parameter("encoder.layer0.w_q", np.ones(2))
-    p.value.grad = np.array([1.0, np.nan])
+    p.grad = np.array([1.0, np.nan])
     with pytest.raises(OptimizerError, match="encoder.layer0.w_q"):
         adam_step([p], AdamState(lr=0.1))
 
@@ -421,15 +421,15 @@ def test_adam_skips_parameter_without_grad():
     ref_m, ref_v = {}, {}
     st = AdamState(lr=0.01)
     b_before = b.data
-    a.value.grad = rng.normal(size=(3, 2)).astype(np.float32)
+    a.grad = rng.normal(size=(3, 2)).astype(np.float32)
     adam_step([a, b], st)
     _adam_reference(ref, {"a": a.grad, "b": None}, ref_m, ref_v, 1, 0.01)
     assert b.data is b_before and np.array_equal(b.data, ref["b"])
     assert "b" not in st.m and "b" not in st.v
     # once it has a grad, its moments start from zero as in the reference
     for step in (2, 3):
-        a.value.grad = rng.normal(size=(3, 2)).astype(np.float32)
-        b.value.grad = rng.normal(size=4).astype(np.float32)
+        a.grad = rng.normal(size=(3, 2)).astype(np.float32)
+        b.grad = rng.normal(size=4).astype(np.float32)
         adam_step([a, b], st)
         _adam_reference(ref, {"a": a.grad, "b": b.grad}, ref_m, ref_v, step, 0.01)
     for name, p in (("a", a), ("b", b)):
@@ -443,10 +443,10 @@ def test_adam_nonfinite_grad_changes_nothing():
     params = [Parameter(n, rng.normal(size=(4, 3)).astype(np.float32)) for n in ("first", "second", "third")]
     st = AdamState(lr=0.01)
     for p in params:
-        p.value.grad = rng.normal(size=(4, 3)).astype(np.float32)
+        p.grad = rng.normal(size=(4, 3)).astype(np.float32)
     adam_step(params, st)
     before = {p.name: (p.data.copy(), st.m[p.name].copy(), st.v[p.name].copy()) for p in params}
-    params[1].value.grad = params[1].grad.copy()
+    params[1].grad = params[1].grad.copy()
     params[1].grad[2, 1] = np.inf
     with pytest.raises(OptimizerError, match="second"):
         adam_step(params, st)
@@ -475,7 +475,7 @@ def test_adam_trajectory_matches_reference():
         m = b1 * m + (1 - b1) * g
         v = b2 * v + (1 - b2) * g * g
         w_ref -= lr * (m / (1 - b1**t)) / (math.sqrt(v / (1 - b2**t)) + eps)
-        p.value.grad = p.data.copy()
+        p.grad = p.data.copy()
         adam_step([p], st)
     assert abs(p.data[0] - w_ref) < 1e-12
 
@@ -491,8 +491,8 @@ def test_training_determinism_bitwise():
         for _ in range(10):
             w1.zero_grad()
             w2.zero_grad()
-            h = relu(matmul(Tensor(x), w1.value))
-            logits = reshape(matmul(h, w2.value), (1, 4, 3))
+            h = relu(matmul(Tensor(x), w1))
+            logits = reshape(matmul(h, w2), (1, 4, 3))
             loss = cross_entropy_masked(logits, targets[None, :], np.ones((1, 4)))
             backward(loss)
             adam_step([w1, w2], st)

@@ -1,6 +1,7 @@
 """Task generators: prompt surfaces, negative policies, deterministic streams."""
 
 import collections
+import hashlib
 import json
 import random
 
@@ -21,7 +22,6 @@ from mixpretrain.tasksynth import (
     CM_KINDS,
     OA_KINDS,
     NoNounFound,
-    PolicyUnavailable,
     SynthConfig,
     SynthesisError,
     TaskExample,
@@ -39,6 +39,7 @@ from mixpretrain.tasksynth import (
     synth_oa_exists,
     synth_oa_list,
     synth_oa_which,
+    task_source,
 )
 
 
@@ -97,6 +98,16 @@ def _mini_lexicon():
     return build_lexicon(lines("dog\tcat\ncat\tdog\nball\tcup\ntree\tbush\n"))
 
 
+def _excluded(corp, kind, cfg, image_id, eligible):
+    """``image_id`` cannot source ``kind``, ``eligible`` are the images that
+    can, and synthesis refuses the kind when there are none."""
+    assert task_source(kind, corp, image_id, cfg, caption_pool(corp)) is None
+    assert eligible_images(corp, kind, cfg) == eligible
+    if not eligible:
+        with pytest.raises(SynthesisError, match=kind.value):
+            list(synth_dataset(corp, [kind], 3, cfg))
+
+
 # ---------------------------------------------------------------------------
 # captioning / completion
 
@@ -115,7 +126,11 @@ def test_completion_split_example():
 
 
 def test_completion_skip_short_caption():
-    assert synth_completion(CaptionRecord("i", "a small dog"), SynthConfig(), FakeRng(uniforms=[0.5])) is None
+    corp = build_corpus({}, captions=[CaptionRecord("i", "a small dog")])
+    _excluded(corp, TaskKind.COMPLETION, SynthConfig(), "i", [])
+    corp = build_corpus({}, captions=[CaptionRecord("i", "a small dog"),
+                                      CaptionRecord("j", "a dog on the grass")])
+    _excluded(corp, TaskKind.COMPLETION, SynthConfig(), "i", ["j"])
 
 
 def test_completion_split_stays_interior():
@@ -178,9 +193,7 @@ def test_itm_hard_falls_back_when_no_noun():
 
 def test_itm_easy_negative_requires_second_caption():
     corp = build_corpus({}, captions=[CaptionRecord("only", "just one caption here")])
-    with pytest.raises(PolicyUnavailable):
-        synth_itm(corp.captions["only"][0], caption_pool(corp), None, SynthConfig(),
-                  FakeRng(randoms=[0.9]))
+    _excluded(corp, TaskKind.ITM, SynthConfig(), "only", [])
 
 
 def _other_captions(corpus, image_id):
@@ -325,7 +338,9 @@ def test_mlm_sentinels_ordered_and_bounded():
 
 def test_mlm_skip_and_minimum_one_span():
     cfg = SynthConfig(mlm_mask_rate=0.01)
-    assert synth_mlm(CaptionRecord("i", "too few here"), cfg, random.Random(0)) is None
+    corp = build_corpus({}, captions=[CaptionRecord("i", "too few here"),
+                                      CaptionRecord("j", "one two three four")])
+    _excluded(corp, TaskKind.MLM, cfg, "i", ["j"])
     ex = synth_mlm(CaptionRecord("i", "one two three four five"), cfg, random.Random(0))
     assert sum(1 for t in ex.target.split() if not t.startswith("<extra_")) == 1
 
@@ -335,7 +350,7 @@ def test_mlm_skip_and_minimum_one_span():
 
 def test_oa_list_sorted_names():
     corp = _mini_corpus()
-    ex = synth_oa_list(corp.labels["img1"], corp.classes)
+    ex = synth_oa_list("img1", task_source(TaskKind.OA_LIST, corp, "img1", SynthConfig(), None))
     assert ex.prompt == "list all objects"
     assert ex.target == "ball, dog"
     assert ex.image_id == "img1"
@@ -344,12 +359,15 @@ def test_oa_list_sorted_names():
 def test_oa_list_skip_without_positives():
     corp = _mini_corpus()
     labels = [ImageLabel("imgx", "/c/cat", "negative", "human")]
-    assert synth_oa_list(labels, corp.classes) is None
+    alone = build_corpus(corp.classes, labels=labels)
+    _excluded(alone, TaskKind.OA_LIST, SynthConfig(), "imgx", [])
 
 
 def test_oa_exists_yes_branch():
     corp = _mini_corpus()
-    ex = synth_oa_exists("img1", corp, SynthConfig(), FakeRng(randoms=[0.1], randranges=[1]))
+    cfg = SynthConfig()
+    ex = synth_oa_exists("img1", *task_source(TaskKind.OA_EXISTS, corp, "img1", cfg, None), cfg,
+                         FakeRng(randoms=[0.1], randranges=[1]))
     assert ex.prompt == "does dog exist?"
     assert ex.target == "yes"
 
@@ -357,7 +375,10 @@ def test_oa_exists_yes_branch():
 def test_oa_exists_easy_no_branch():
     corp = _mini_corpus()
     # easy pool for img1 = all names minus positives = [cat, tree]
-    ex = synth_oa_exists("img1", corp, SynthConfig(), FakeRng(randoms=[0.9], randranges=[1]))
+    cfg = SynthConfig()
+    material = task_source(TaskKind.OA_EXISTS, corp, "img1", cfg, None)
+    assert material == (["ball", "dog"], ["cat", "tree"])
+    ex = synth_oa_exists("img1", *material, cfg, FakeRng(randoms=[0.9], randranges=[1]))
     assert ex.prompt == "does tree exist?"
     assert ex.target == "no"
 
@@ -365,7 +386,8 @@ def test_oa_exists_easy_no_branch():
 def test_oa_exists_hard_no_uses_verified_negative():
     corp = _mini_corpus()
     cfg = SynthConfig(policy="hard")
-    ex = synth_oa_exists("img1", corp, cfg, FakeRng(randoms=[0.9], randranges=[0]))
+    ex = synth_oa_exists("img1", *task_source(TaskKind.OA_EXISTS, corp, "img1", cfg, None), cfg,
+                         FakeRng(randoms=[0.9], randranges=[0]))
     assert ex.prompt == "does cat exist?"
     assert ex.target == "no"
     assert ex.meta["policy"] == "hard"
@@ -374,22 +396,22 @@ def test_oa_exists_hard_no_uses_verified_negative():
 def test_oa_exists_hard_unavailable():
     # img2's only negative is machine-sourced
     corp = _mini_corpus()
-    with pytest.raises(PolicyUnavailable):
-        synth_oa_exists("img2", corp, SynthConfig(policy="hard"), FakeRng(randoms=[0.1]))
+    _excluded(corp, TaskKind.OA_EXISTS, SynthConfig(policy="hard"), "img2", ["img1"])
+    _excluded(corp.subset(["img2"]), TaskKind.OA_EXISTS, SynthConfig(policy="hard"), "img2", [])
 
 
 def test_oa_exists_easy_unavailable_when_all_positive():
     classes = {"/c/a": ClassEntry("/c/a", "ant")}
     corp = build_corpus(classes, labels=[ImageLabel("i", "/c/a", "positive", "human")])
-    with pytest.raises(PolicyUnavailable):
-        synth_oa_exists("i", corp, SynthConfig(), FakeRng(randoms=[0.1]))
+    _excluded(corp, TaskKind.OA_EXISTS, SynthConfig(), "i", [])
 
 
 def test_oa_andor_prompt_shapes():
     corp = _mini_corpus()
     cfg = SynthConfig()
     # k=2 (feasible index 0), connective "and", want yes -> sample returns first 2 of union
-    ex = synth_oa_andor("img1", corp, cfg, FakeRng(randoms=[0.9], randranges=[0, 0]))
+    ex = synth_oa_andor("img1", *task_source(TaskKind.OA_ANDOR, corp, "img1", cfg, None), cfg,
+                        FakeRng(randoms=[0.9], randranges=[0, 0]))
     assert ex.kind == TaskKind.OA_ANDOR
     assert ex.prompt.startswith("does ") and ex.prompt.endswith(" exist?")
     assert ex.meta["connective"] in ("and", "or")
@@ -426,13 +448,23 @@ def test_oa_which_target_is_prompt_order_positives(small_corpus):
         assert ex.target == ", ".join(expect)
 
 
+def test_oa_which_from_source_material():
+    corp = _mini_corpus()
+    cfg = SynthConfig()
+    # one positive of [ball, dog], two distractors of [cat, tree]
+    ex = synth_oa_which("img1", *task_source(TaskKind.OA_WHICH, corp, "img1", cfg, None), cfg,
+                        FakeRng(randints=[1]))
+    assert ex.prompt == "which of ball, cat and tree exist?"
+    assert ex.target == "ball"
+
+
 def test_oa_which_skip_when_too_few_names():
     classes = {"/c/a": ClassEntry("/c/a", "ant"), "/c/b": ClassEntry("/c/b", "bee")}
     corp = build_corpus(classes, labels=[
         ImageLabel("i", "/c/a", "positive", "human"),
         ImageLabel("i", "/c/b", "negative", "human"),
     ])
-    assert synth_oa_which("i", corp, SynthConfig(), random.Random(0)) is None
+    _excluded(corp, TaskKind.OA_WHICH, SynthConfig(), "i", [])
 
 
 # ---------------------------------------------------------------------------
@@ -517,6 +549,61 @@ def test_hard_policy_contracts(small_corpus, lexicon):
             verified = {small_corpus.display_name(c)
                         for c in small_corpus.verified_negative_class_ids(ex.image_id)}
             assert name in verified
+
+
+# ---------------------------------------------------------------------------
+# pinned stream
+
+def _edge_corpus():
+    """Short captions, machine-only negatives and an image with every class
+    positive, next to images that can source every kind."""
+    names = ("dog", "cat", "ball", "tree")
+    classes = {f"/c/{n}": ClassEntry(f"/c/{n}", n) for n in names}
+    labels = [ImageLabel("e0", f"/c/{n}", "positive", "human") for n in names] + [
+        ImageLabel("e1", "/c/dog", "positive", "human"),
+        ImageLabel("e1", "/c/cat", "negative", "machine"),
+        ImageLabel("e2", "/c/dog", "positive", "human"),
+        ImageLabel("e2", "/c/ball", "positive", "human"),
+        ImageLabel("e2", "/c/cat", "negative", "human"),
+        ImageLabel("e3", "/c/tree", "positive", "human"),
+        ImageLabel("e3", "/c/cat", "negative", "human"),
+        ImageLabel("e3", "/c/ball", "negative", "human"),
+        ImageLabel("e5", "/c/cat", "positive", "human"),
+        ImageLabel("e5", "/c/dog", "negative", "human"),
+    ]
+    captions = [
+        CaptionRecord("e0", "a dog, a cat, a ball and a tree"),
+        CaptionRecord("e1", "small dog"),
+        CaptionRecord("e1", "a dog here"),
+        CaptionRecord("e2", "a dog chases the ball"),
+        CaptionRecord("e2", "dog and ball"),
+        CaptionRecord("e4", "nothing to swap in this text"),
+    ]
+    images = [ImageRecord(f"e{k}", np.zeros((2, 2, 3), dtype=np.float32)) for k in range(6)]
+    return build_corpus(classes, labels=labels, captions=captions, images=images)
+
+
+# sha256 over every eligible list and every example (or SynthesisError) of
+# the stream below; any change to what synthesis emits changes it
+PINNED_STREAM_SHA256 = "fb5a89d80628f3a0591516038ca945b1b4c21dc45f95aee488db48de257862f1"
+
+
+def test_synthesized_stream_is_pinned(hidden_corpus, lexicon):
+    edge = _edge_corpus()
+    h = hashlib.sha256()
+    # the two-image subset has no ITM source: its stream records the error
+    for corp, count in ((hidden_corpus, 40), (edge, 12), (edge.subset(["e0", "e3"]), 4)):
+        for policy in ("easy", "hard"):
+            cfg = SynthConfig(seed=3, policy=policy)
+            for kind in TaskKind:
+                h.update(json.dumps([kind.value, policy,
+                                     eligible_images(corp, kind, cfg)]).encode())
+                try:
+                    for ex in synth_dataset(corp, [kind], count, cfg, lexicon):
+                        h.update(ex.to_json().encode())
+                except SynthesisError as e:
+                    h.update(f"SynthesisError: {e}".encode())
+    assert h.hexdigest() == PINNED_STREAM_SHA256
 
 
 # ---------------------------------------------------------------------------
