@@ -7,6 +7,7 @@ and evaluates generated text with open-vocabulary exact match and CIDEr.
 
 import contextlib
 import os
+import shutil
 
 __version__ = "0.1.0"
 
@@ -25,6 +26,25 @@ def atomic_write(path, mode="w", **kwargs):
         with contextlib.suppress(OSError):
             os.remove(tmp)
         raise
+
+
+@contextlib.contextmanager
+def staged_dir(path):
+    """Yield ``<path>.tmp``, a fresh empty directory, and put it in place of
+    ``path`` once the block finishes, so ``path`` holds exactly the files the
+    block wrote.  If the block raises, the staging directory is removed and
+    ``path`` is left as it was.  A staging directory left by a killed process
+    is cleared first."""
+    tmp = f"{path}.tmp"
+    shutil.rmtree(tmp, ignore_errors=True)
+    os.makedirs(tmp)
+    try:
+        yield tmp
+    except BaseException:
+        shutil.rmtree(tmp, ignore_errors=True)
+        raise
+    shutil.rmtree(path, ignore_errors=True)
+    os.replace(tmp, path)
 
 
 def bundled_lexicon_path():

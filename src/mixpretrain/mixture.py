@@ -40,10 +40,6 @@ class MixtureSpec:
         names = list(names)
         return cls(names=names, weights=[1.0] * len(names))
 
-    def probabilities(self):
-        total = float(sum(self.weights))
-        return [w / total for w in self.weights]
-
 
 @dataclass
 class ScheduleConfig:

@@ -118,7 +118,7 @@ class Vocab:
             return cls(json.load(f))
 
 
-def build_vocab(examples, min_count=1):
+def build_vocab(examples):
     """Frequency-ordered vocabulary over prompt+target words of a task stream.
 
     Ties break lexicographically; "yes"/"no" are force-included so yes/no
@@ -137,7 +137,7 @@ def build_vocab(examples, min_count=1):
         if w not in counts:
             counts[w] = 0
     words = sorted(
-        (w for w, c in counts.items() if (c >= min_count or w in ("yes", "no")) and w not in specials),
+        (w for w in counts if w not in specials),
         key=lambda w: (-counts[w], w),
     )
     return Vocab(specials + words)

@@ -15,7 +15,7 @@ import os
 import random
 import time
 
-from . import atomic_write, load_bundled_lexicon
+from . import atomic_write, load_bundled_lexicon, staged_dir
 from .config import RunConfig, render_config
 from .corpus import ConfigError, load_corpus, synth_corpus
 from .evalkit import evaluate, write_predictions
@@ -90,17 +90,18 @@ def _model_config(cfg, vocab_size):
                        max_prompt=m["max_prompt"], max_target=m["max_target"])
 
 
-def check_checkpoint(state, cfg, corpus, vocab=None):
+def check_checkpoint(state, cfg, corpus, vocab):
     """Refuse a checkpoint written under another vocab, corpus or model
     config than the run ``cfg`` rebuilds; the error names what differs.
-    Without ``vocab``, which only synthesis can rebuild, the vocab and the
-    model's vocab_size are not compared."""
+    ``train --resume`` calls it once the task files are staged and the vocab
+    is built, before anything else in the run directory changes; ``eval``
+    calls it with the run's stored vocab."""
     diffs = []
-    if vocab is not None and state.vocab_fingerprint != vocab.fingerprint():
+    if state.vocab_fingerprint != vocab.fingerprint():
         diffs.append("vocab")
     if state.corpus_fingerprint != corpus.fingerprint():
         diffs.append("corpus")
-    mcfg = _model_config(cfg, state.config.vocab_size if vocab is None else len(vocab))
+    mcfg = _model_config(cfg, len(vocab))
     changed = [f"{f.name} {getattr(state.config, f.name)} -> {getattr(mcfg, f.name)}"
                for f in dataclasses.fields(mcfg)
                if getattr(state.config, f.name) != getattr(mcfg, f.name)]
@@ -147,23 +148,6 @@ def run_training(cfg: RunConfig, resume=False, log=None):
         stage_ends.append((name, time.perf_counter() - t0))
 
     corpus, lexicon = _load_or_synth_corpus(cfg)
-    ckpt_path = os.path.join(run_dir, CHECKPOINT)
-    state = None
-    if resume and os.path.exists(ckpt_path):
-        # refuse before the run directory changes; the vocab check has to
-        # wait until synthesis has rebuilt the vocab
-        state = load_checkpoint(ckpt_path)
-        check_checkpoint(state, cfg, corpus)
-
-    os.makedirs(run_dir, exist_ok=True)
-    # results of an earlier run must not pass for results of this config
-    for name in (EVAL_REPORT, PREDICTIONS, RUN_REPORT):
-        with contextlib.suppress(FileNotFoundError):
-            os.remove(os.path.join(run_dir, name))
-    config_text = cfg.source_text or render_config(cfg)
-    with open(os.path.join(run_dir, CONFIG_ECHO), "w") as f:
-        f.write(config_text)
-
     train_ids, eval_ids = split_image_ids(corpus.image_ids(), cfg.eval_split, cfg.seed)
     train_corpus = corpus.subset(train_ids)
     eval_corpus = corpus.subset(eval_ids) if eval_ids else None
@@ -172,17 +156,30 @@ def run_training(cfg: RunConfig, resume=False, log=None):
 
     kinds = [TaskKind(k) for k in cfg.kinds]
     scfg = _synth_config(cfg, cfg.tasks["policy"])
-    tasks_dir = os.path.join(run_dir, "tasks")
-    paths = write_task_files(train_corpus, kinds, cfg.tasks["count_per_kind"], scfg,
-                             tasks_dir, lexicon=lexicon)
-    datasets = {kind.value: load_task_file(paths[kind]) for kind in kinds}
-    all_train = [ex for exs in datasets.values() for ex in exs]
-    say(f"tasks: {len(all_train)} examples over {len(kinds)} kinds")
-    stage_done("tasks")
+    ckpt_path = os.path.join(run_dir, CHECKPOINT)
+    state = None
+    # build and check first, so a refused or failed set-up leaves the run
+    # directory as it was; staging creates it, and tasks/ ends up holding
+    # only this run's kinds
+    with staged_dir(os.path.join(run_dir, "tasks")) as staging:
+        paths = write_task_files(train_corpus, kinds, cfg.tasks["count_per_kind"], scfg,
+                                 staging, lexicon=lexicon)
+        datasets = {kind.value: load_task_file(paths[kind]) for kind in kinds}
+        all_train = [ex for exs in datasets.values() for ex in exs]
+        say(f"tasks: {len(all_train)} examples over {len(kinds)} kinds")
+        stage_done("tasks")
 
-    vocab = build_vocab(all_train)
-    if state is not None:
-        check_checkpoint(state, cfg, corpus, vocab)
+        vocab = build_vocab(all_train)
+        if resume and os.path.exists(ckpt_path):
+            state = load_checkpoint(ckpt_path)
+            check_checkpoint(state, cfg, corpus, vocab)
+
+        # results of an earlier run must not pass for results of this config
+        for name in (EVAL_REPORT, PREDICTIONS, RUN_REPORT):
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(os.path.join(run_dir, name))
+        with atomic_write(os.path.join(run_dir, CONFIG_ECHO)) as f:
+            f.write(cfg.source_text or render_config(cfg))
     vocab.save(os.path.join(run_dir, "vocab.json"))
     say(f"vocab: {len(vocab)} tokens")
     stage_done("vocab")

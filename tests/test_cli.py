@@ -325,7 +325,8 @@ def test_interrupted_rerun_leaves_no_old_results(micro_run, tmp_path, monkeypatc
 @pytest.mark.parametrize("old, new, named", [
     ("d_ff = 32", "d_ff = 48", "model config (d_ff 32 -> 48)"),
     ("n_images = 36", "n_images = 40", "corpus"),
-], ids=["model", "corpus"])
+    ("kinds = caption oa_exists oa_list", "kinds = caption oa_exists", "vocab"),
+], ids=["model", "corpus", "vocab"])
 def test_resume_refuses_checkpoint_of_another_config(micro_run, tmp_path, capsys, old, new, named):
     out, ini = _copy_of_run(micro_run, tmp_path, old, new)
     before = _dir_bytes(out)
@@ -346,6 +347,49 @@ def _dir_bytes(root):
             with open(path, "rb") as f:
                 out[os.path.relpath(path, root)] = f.read()
     return out
+
+
+def _assert_tasks_match_manifest(out):
+    """``tasks/`` holds the manifest and one file per kind it counts, and
+    no staging directory is left beside it."""
+    tasks = os.path.join(out, "tasks")
+    with open(os.path.join(tasks, "synth_manifest.json")) as f:
+        manifest = json.load(f)
+    expected = {f"{kind}.{manifest['policy']}.jsonl" for kind in manifest["counts"]}
+    assert set(os.listdir(tasks)) == expected | {"synth_manifest.json"}
+    assert not os.path.exists(tasks + ".tmp")
+    return manifest
+
+
+def test_rerun_with_fewer_kinds_leaves_no_stray_task_file(micro_run, tmp_path):
+    out, ini = _copy_of_run(micro_run, tmp_path, "kinds = caption oa_exists oa_list",
+                            "kinds = caption oa_exists")
+    assert main(["train", "--config", str(ini)]) == 0
+    assert set(_assert_tasks_match_manifest(out)["counts"]) == {"caption", "oa_exists"}
+
+
+def test_failed_setup_leaves_run_directory_unchanged(micro_run, tmp_path, capsys, monkeypatch):
+    out, ini = _copy_of_run(micro_run, tmp_path, "total_steps = 25", "total_steps = 30")
+    before = _dir_bytes(out)
+
+    def broken_vocab(examples):
+        raise ValueError("simulated set-up failure after synthesis")
+
+    monkeypatch.setattr("mixpretrain.runner.build_vocab", broken_vocab)
+    assert main(["train", "--config", str(ini)]) == 2
+    assert "simulated set-up failure" in capsys.readouterr().err
+    assert _dir_bytes(out) == before
+    assert not os.path.exists(os.path.join(out, "tasks.tmp"))
+
+
+def test_run_clears_a_staging_directory_left_by_a_killed_run(micro_run, tmp_path):
+    out, ini = _copy_of_run(micro_run, tmp_path)
+    staging = os.path.join(out, "tasks.tmp")
+    os.makedirs(staging)
+    with open(os.path.join(staging, "oa_which.easy.jsonl"), "w") as f:
+        f.write('{"partial')
+    assert main(["train", "--config", str(ini)]) == 0
+    _assert_tasks_match_manifest(out)
 
 
 def test_eval_refuses_tampered_vocab(micro_run, tmp_path, capsys):

@@ -63,7 +63,6 @@ def test_spec_validation():
         MixtureSpec(names=["a"], weights=[0.0])
     with pytest.raises(ScheduleError):
         MixtureSpec(names=["a", "a"], weights=[1, 1])
-    assert MixtureSpec.equal(["x", "y"]).probabilities() == [0.5, 0.5]
 
 
 # ---------------------------------------------------------------------------

@@ -77,12 +77,6 @@ def test_vocab_encode_decode():
     assert v.decode([v.pad_id, *v.encode("dog"), v.eos_id, *v.encode("runs")]) == "dog"
 
 
-def test_vocab_min_count():
-    v = build_vocab([_ex("rare common", "common")], min_count=2)
-    assert "common" in v.token_to_id
-    assert "rare" not in v.token_to_id
-
-
 def test_vocab_save_load_fingerprint(tmp_path):
     v = build_vocab([_ex("a b c", "d")])
     p = str(tmp_path / "vocab.json")
