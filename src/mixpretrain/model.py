@@ -419,7 +419,9 @@ class Model:
 def train(model, schedule, datasets, vocab, opt, images=None, start_step=0,
           metrics_path=None, checkpoint_path=None, checkpoint_every=0,
           vocab_fingerprint=None, corpus_fingerprint=None):
-    """Run schedule entries [start_step:] in order.  Returns metrics history.
+    """Run schedule entries [start_step:] in order.  Returns metrics history:
+    per step its loss, the global gradient norm and the number of truncated
+    sequences in its batch.
 
     ``datasets`` maps component name -> list of TaskExample; ``images`` maps
     image_id -> pixel array (None for text-only models is unsupported here:
@@ -442,8 +444,9 @@ def train(model, schedule, datasets, vocab, opt, images=None, start_step=0,
             if not np.isfinite(value):
                 raise TrainingError(f"non-finite loss at step {entry.step} on task {entry.component}")
             backward(loss)
-            adam_step(model.parameters(), opt)
-            rec = {"step": entry.step, "task": entry.component, "loss": value}
+            grad_norm = adam_step(model.parameters(), opt)
+            rec = {"step": entry.step, "task": entry.component, "loss": value,
+                   "grad_norm": grad_norm, "truncated": batch.truncated}
             history.append(rec)
             if mfile:
                 mfile.write(json.dumps(rec) + "\n")

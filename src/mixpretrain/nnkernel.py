@@ -4,13 +4,22 @@ A dynamic tape over numpy arrays, micrograd-style: every op records its
 parents and a closure that pushes gradients back to them.  Training runs in
 float32; gradient checks run the same graph in float64 (ops inherit the dtype
 of their inputs).  Single-threaded per tape; no in-place mutation of produced
-values outside the optimizer.
+values outside the optimizer.  ``backward`` leaves gradients on the leaves
+only: an inner node's gradient is freed once pushed to its parents.
+
+numpy reduces a short last axis row by row, so the row sums of ``softmax``,
+``cross_entropy_masked`` and ``layer_norm``'s backward pass, and the bias and
+position-table gradients in ``_unbroadcast``, run as one BLAS GEMV against a
+ones vector instead.  They add up in another order than ``ndarray.sum``.
+``layer_norm``'s forward statistics keep numpy's own pairwise sum, bit for bit.
 
 ``adam_step`` keeps parameters, moments and gradients in one flat buffer each.
 From the first step on, every ``Parameter.data`` and ``AdamState.m``/``v``
 entry it updates is a view into those buffers; a binding that is replaced
 (``restore_model`` builds fresh arrays) is copied into new buffers on the
-next step.
+next step.  The update runs block by block (``ADAM_BLOCK`` elements), each
+block through the same ufunc sequence, so the result does not depend on the
+blocking.
 """
 
 from __future__ import annotations
@@ -87,23 +96,39 @@ def _accum(t, g):
 
 
 def _make(data, parents, backward):
-    out = Tensor(data)
-    if _grad_enabled and any(p.requires_grad for p in parents):
-        out.requires_grad = True
-        out._parents = tuple(parents)
-        out._backward = backward
+    # built field by field: Tensor() would pass ``data`` through np.asarray
+    out = Tensor.__new__(Tensor)
+    out.data = data if type(data) is np.ndarray else np.asarray(data)
+    out.grad = None
+    out.requires_grad = False
+    out._parents = ()
+    out._backward = None
+    if _grad_enabled:
+        for p in parents:
+            if p.requires_grad:
+                out.requires_grad = True
+                out._parents = parents
+                out._backward = backward
+                break
     return out
 
 
 def _unbroadcast(g, shape):
-    """Sum gradient ``g`` down to ``shape`` (inverse of numpy broadcasting)."""
-    extra = g.ndim - len(shape)
-    if extra > 0:
-        g = g.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, s in enumerate(shape) if s == 1 and g.shape[i] != 1)
-    if axes:
-        g = g.sum(axis=axes, keepdims=True)
-    return g.reshape(shape)
+    """Sum gradient ``g`` down to ``shape`` (inverse of numpy broadcasting).
+
+    When the summed axes lead (a bias ``(d,)``, a position table
+    ``(1, T, d)``), the sum is one GEMV of a ones vector against ``g``."""
+    if g.shape == shape:
+        return g
+    full = (1,) * (g.ndim - len(shape)) + tuple(shape)
+    k = g.ndim
+    while k and full[k - 1] == g.shape[k - 1]:
+        k -= 1
+    if g.size and all(s == 1 for s in full[:k]):
+        rows = g.reshape(-1, math.prod(g.shape[k:]))
+        return (_ones(rows.shape[0], g.dtype) @ rows).reshape(shape)
+    axes = tuple(i for i, s in enumerate(full) if s == 1 and g.shape[i] != 1)
+    return g.sum(axis=axes, keepdims=True).reshape(shape)
 
 
 # ---------------------------------------------------------------------------
@@ -189,16 +214,28 @@ def relu(x):
 
 
 def embedding(table, ids):
-    """Row lookup.  ``ids`` is a plain integer array; gradients scatter-add."""
+    """Row lookup.  ``ids`` is a plain integer array; gradients scatter-add.
+
+    Strictly increasing ids (positions, type rows) take their gradient rows
+    in one write.  Repeated ids are scatter-added element by element into
+    the flattened table, which numpy runs in its fast 1-D indexed loop; a
+    row-wise ``np.add.at`` is about twice as slow, and so are a bincount or
+    a sort-and-``reduceat`` segment sum at these sizes."""
     ids = np.asarray(ids)
-    if not np.issubdtype(ids.dtype, np.integer):
+    if ids.dtype.kind not in "iu":
         raise ShapeError("embedding ids must be integers")
     out_data = table.data[ids]
 
     def backward(g):
         if table.requires_grad:
             gt = np.zeros_like(table.data)
-            np.add.at(gt, ids, g)
+            flat = ids.reshape(-1).astype(np.intp, copy=False)  # no wrap in small dtypes
+            d = math.prod(gt.shape[1:])
+            if flat.size < 2 or (flat[0] >= 0 and (flat[1:] > flat[:-1]).all()):
+                gt[flat] = g.reshape((flat.size,) + gt.shape[1:])
+            else:
+                cells = (flat[:, None] * d + np.arange(d)).reshape(-1)
+                np.add.at(gt.reshape(-1), cells, g.reshape(-1))
             _accum(table, gt)
 
     return _make(out_data, (table,), backward)
@@ -216,11 +253,11 @@ def reshape(x, shape):
 
 def transpose(x, axes):
     x = _as_tensor(x)
-    out_data = np.transpose(x.data, axes)
-    inverse = np.argsort(axes)
+    out_data = x.data.transpose(axes)
+    inverse = tuple(sorted(range(len(axes)), key=axes.__getitem__))
 
     def backward(g):
-        _accum(x, np.transpose(g, inverse))
+        _accum(x, g.transpose(inverse))
 
     return _make(out_data, (x,), backward)
 
@@ -244,17 +281,41 @@ def _row_max(x):
     return np.maximum.reduce(np.ascontiguousarray(np.moveaxis(x, -1, 0)), axis=0)[..., None]
 
 
+_ONES = {}
+
+
+def _ones(n, dtype):
+    """A cached read-only vector of ``n`` ones."""
+    key = (n, dtype)
+    ones = _ONES.get(key)
+    if ones is None:
+        ones = _ONES[key] = np.ones(n, dtype)
+        ones.flags.writeable = False
+    return ones
+
+
+def _row_sum(x):
+    """``x.sum(-1, keepdims=True)`` as one GEMV against a ones vector.  numpy
+    reduces a short last axis row by row; BLAS takes all rows in one call.
+    The sum runs in another order, so results differ in the last bits."""
+    d = x.shape[-1]
+    return (x.reshape(-1, d) @ _ones(d, x.dtype)).reshape(x.shape[:-1] + (1,))
+
+
 def softmax(x):
     """Softmax over the last axis."""
     x = _as_tensor(x)
-    shifted = x.data - _row_max(x.data)
-    e = np.exp(shifted)
-    out_data = e / e.sum(axis=-1, keepdims=True)
+    out_data = x.data - _row_max(x.data)
+    np.exp(out_data, out=out_data)
+    out_data /= _row_sum(out_data)
 
     def backward(g):
         # dL/dx = y * (g - sum(g*y))
-        inner = (g * out_data).sum(axis=-1, keepdims=True)
-        _accum(x, out_data * (g - inner))
+        gx = g * out_data
+        inner = _row_sum(gx)
+        np.subtract(g, inner, out=gx)
+        gx *= out_data
+        _accum(x, gx)
 
     return _make(out_data, (x,), backward)
 
@@ -265,19 +326,35 @@ LN_EPS = 1e-6
 def layer_norm(x, gain, bias, eps=LN_EPS):
     """Normalize the last axis to zero mean / unit variance, then affine."""
     x, gain, bias = _as_tensor(x), _as_tensor(gain), _as_tensor(bias)
-    centred = x.data - x.data.mean(axis=-1, keepdims=True)
-    var = (centred * centred).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = centred * inv
-    out_data = xhat * gain.data + bias.data
+    n = x.data.shape[-1]
+    # the statistics are numpy's mean and var bit for bit: the same pairwise
+    # add.reduce, without ndarray.mean's Python wrapper
+    mean = np.add.reduce(x.data, axis=-1, keepdims=True)
+    mean /= n
+    xhat = x.data - mean
+    out_data = xhat * xhat
+    inv = np.add.reduce(out_data, axis=-1, keepdims=True)
+    inv /= n
+    inv += eps
+    np.sqrt(inv, out=inv)
+    np.divide(1.0, inv, out=inv)
+    xhat *= inv
+    np.multiply(xhat, gain.data, out=out_data)
+    out_data += bias.data
 
     def backward(g):
         if x.requires_grad:
-            n = x.data.shape[-1]
-            gx_hat = g * gain.data
-            # d xhat / dx folded analytically
-            _accum(x, inv / n * (n * gx_hat - gx_hat.sum(-1, keepdims=True)
-                                 - xhat * (gx_hat * xhat).sum(-1, keepdims=True)))
+            gx = g * gain.data
+            proj = gx * xhat
+            # d xhat / dx folded analytically:
+            # inv / n * (n * gx - sum(gx) - xhat * sum(gx * xhat))
+            np.multiply(xhat, _row_sum(proj), out=proj)
+            sums = _row_sum(gx)
+            gx *= n
+            gx -= sums
+            gx -= proj
+            gx *= inv / n
+            _accum(x, gx)
         if gain.requires_grad:
             _accum(gain, _unbroadcast(g * xhat, gain.data.shape))
         if bias.requires_grad:
@@ -348,17 +425,20 @@ def cross_entropy_masked(logits, targets, loss_mask):
     if denom == 0:
         raise ValueError("cross_entropy_masked: loss mask is all zero")
 
-    z = logits.data - _row_max(logits.data)
-    logsumexp = np.log(np.exp(z).sum(axis=-1, keepdims=True))
-    logp = z - logsumexp
-    picked = np.take_along_axis(logp, targets[..., None], axis=-1)[..., 0]
+    logp = logits.data - _row_max(logits.data)
+    logp -= np.log(_row_sum(np.exp(logp)))
+    rows = np.arange(targets.size)
+    cols = targets.reshape(-1)
+    picked = logp.reshape(-1, logp.shape[-1])[rows, cols].reshape(targets.shape)
     out_data = -(picked * loss_mask).sum() / denom
 
     def backward(g):
-        soft = np.exp(logp)
-        onehot = np.zeros_like(soft)
-        np.put_along_axis(onehot, targets[..., None], 1.0, axis=-1)
-        _accum(logits, g * (soft - onehot) * (loss_mask[..., None] / denom))
+        # g * (softmax - onehot(targets)) * mask / denom
+        grad = np.exp(logp)
+        grad.reshape(-1, grad.shape[-1])[rows, cols] -= 1.0
+        grad *= g
+        grad *= loss_mask[..., None] / denom
+        _accum(logits, grad)
 
     return _make(np.asarray(out_data), (logits,), backward)
 
@@ -369,9 +449,12 @@ def cross_entropy_masked(logits, targets, loss_mask):
 def backward(loss):
     """Reverse-mode sweep from a scalar loss.
 
-    Each call propagates exactly one unit of output gradient; grads already
-    sitting on tensors are kept aside during the sweep and re-added after, so
-    repeated backward accumulates instead of double-counting stale values.
+    Each call propagates exactly one unit of output gradient into the leaves
+    (tensors without a backward closure: parameters and inputs).  An inner
+    node's gradient is dropped once it has been pushed to the node's parents,
+    so the sweep frees gradients as it goes.  Grads already sitting on
+    tensors are kept aside during the sweep and re-added after, so repeated
+    backward accumulates instead of double-counting stale values.
     """
     if loss.data.size != 1:
         raise ValueError(f"backward needs a scalar, got shape {loss.data.shape}")
@@ -383,24 +466,25 @@ def backward(loss):
         if done:
             order.append(node)
             continue
-        if id(node) in seen:
+        if node in seen:
             continue
-        seen.add(id(node))
+        seen.add(node)
         stack.append((node, True))
         for p in node._parents:
-            if id(p) not in seen:
+            # a parent that needs no gradient receives none
+            if p.requires_grad and p not in seen:
                 stack.append((p, False))
 
-    stash = [(node, node.grad) for node in order]
+    stash = [(node, node.grad) for node in order if node.grad is not None]
     for node, _ in stash:
         node.grad = None
     loss.grad = np.ones_like(loss.data)
     for node in reversed(order):
         if node._backward is not None and node.grad is not None:
             node._backward(node.grad)
+            node.grad = None
     for node, old in stash:
-        if old is not None:
-            node.grad = old if node.grad is None else node.grad + old
+        node.grad = old if node.grad is None else node.grad + old
 
 
 # ---------------------------------------------------------------------------
@@ -428,9 +512,14 @@ class AdamState:
     flat: "_FlatAdam | None" = field(default=None, repr=False, compare=False)
 
 
+# Elements per block of the Adam update: the update's ufuncs run block by
+# block, so that the buffers they stream through stay in cache.
+ADAM_BLOCK = 1 << 14
+
+
 class _FlatAdam:
     """Parameters, moments and gradients of one fixed parameter list, each in
-    one flat buffer, plus two scratch buffers for the update.
+    one flat buffer, plus two block-sized scratch buffers for the update.
 
     Built from copies of the current arrays; ``bind`` then makes every
     ``p.data`` and moment a view into the buffers, so one in-place update
@@ -453,9 +542,12 @@ class _FlatAdam:
         self.m = gather(state.m.get(p.name, np.zeros(p.data.size, dtype)) for p in params)
         self.v = gather(state.v.get(p.name, np.zeros(p.data.size, dtype)) for p in params)
         self.g = np.empty(n, dtype)
-        self.s1 = np.empty(n, dtype)
-        self.s2 = np.empty(n, dtype)
-        self.finite = np.empty(n, bool)
+        scratch = np.empty((2, min(n, ADAM_BLOCK)), dtype)
+        self.blocks = []  # (g, m, v, w, s1, s2) views of each block
+        for lo in range(0, n, ADAM_BLOCK):
+            hi = min(lo + ADAM_BLOCK, n)
+            self.blocks.append((self.g[lo:hi], self.m[lo:hi], self.v[lo:hi], self.w[lo:hi],
+                                scratch[0, :hi - lo], scratch[1, :hi - lo]))
         self.views = [tuple(buf[lo:hi].reshape(p.data.shape) for buf in (self.w, self.m, self.v))
                       for p, (lo, hi) in zip(params, self.spans)]
 
@@ -471,44 +563,56 @@ class _FlatAdam:
 
 
 def adam_step(params, state):
-    """Bias-corrected adaptive-moment update over named parameters.
+    """Bias-corrected adaptive-moment update over named parameters.  Returns
+    the global L2 norm of the gradients it applied (0.0 when none).
 
     Parameters whose grad is None are skipped.  The others are updated
-    together in flat buffers (see ``_FlatAdam``); a non-finite gradient
-    raises before anything is changed.
+    together in flat buffers (see ``_FlatAdam``), block by block; a
+    non-finite gradient raises before anything is changed.
     """
     live = [p for p in params if p.grad is not None]
     if not live:
         state.step += 1
-        return
+        return 0.0
     flat = state.flat
     fresh = flat is None or not flat.bound(live, state)
     if fresh:
         flat = state.flat = _FlatAdam(live, state)
-    g, m, v, s1, s2 = flat.g, flat.m, flat.v, flat.s1, flat.s2
+    g = flat.g
     np.concatenate([p.grad.reshape(-1) for p in live], out=g)
-    if not np.isfinite(g, out=flat.finite).all():
-        bad = next(p for p, (lo, hi) in zip(live, flat.spans) if not flat.finite[lo:hi].all())
-        raise OptimizerError(f"non-finite gradient in {bad.name}")
+    # a NaN or inf anywhere makes the dot non-finite; so can finite
+    # gradients whose squares overflow, and the exact scan tells them apart
+    with np.errstate(over="ignore"):
+        sq = float(np.dot(g, g))
+    if not math.isfinite(sq):
+        finite = np.isfinite(g)
+        bad = next((p for p, (lo, hi) in zip(live, flat.spans) if not finite[lo:hi].all()), None)
+        if bad is not None:
+            raise OptimizerError(f"non-finite gradient in {bad.name}")
+        g64 = g.astype(np.float64)
+        sq = float(np.dot(g64, g64))
     if fresh:
         flat.bind(state)
     state.step += 1
     t = state.step
-    # m += (1 - beta1) * (g - m)
-    np.subtract(g, m, out=s1)
-    s1 *= 1.0 - state.beta1
-    m += s1
-    # v += (1 - beta2) * (g * g - v)
-    np.multiply(g, g, out=s1)
-    s1 -= v
-    s1 *= 1.0 - state.beta2
-    v += s1
-    # w -= lr * mhat / (sqrt(vhat) + eps)
-    np.divide(m, 1.0 - state.beta1**t, out=s1)
-    s1 *= state.lr
-    np.divide(v, 1.0 - state.beta2**t, out=s2)
-    np.sqrt(s2, out=s2)
-    s2 += state.eps
-    s1 /= s2
-    flat.w -= s1
+    c1, c2 = 1.0 - state.beta1**t, 1.0 - state.beta2**t
+    for g, m, v, w, s1, s2 in flat.blocks:
+        # m += (1 - beta1) * (g - m)
+        np.subtract(g, m, out=s1)
+        s1 *= 1.0 - state.beta1
+        m += s1
+        # v += (1 - beta2) * (g * g - v)
+        np.multiply(g, g, out=s1)
+        s1 -= v
+        s1 *= 1.0 - state.beta2
+        v += s1
+        # w -= lr * mhat / (sqrt(vhat) + eps)
+        np.divide(m, c1, out=s1)
+        s1 *= state.lr
+        np.divide(v, c2, out=s2)
+        np.sqrt(s2, out=s2)
+        s2 += state.eps
+        s1 /= s2
+        w -= s1
+    return math.sqrt(sq)
 

@@ -222,6 +222,7 @@ def run_training(cfg: RunConfig, resume=False, log=None):
         # timings, filled below; excluded from idempotency checks
         "wall_seconds": None,
         "stage_seconds": None,
+        "steps_per_second": None,
     }
 
     if eval_corpus is not None:
@@ -236,6 +237,8 @@ def run_training(cfg: RunConfig, resume=False, log=None):
 
     summary["wall_seconds"] = round(time.perf_counter() - t0, 3)
     summary["stage_seconds"] = _stage_seconds(stage_ends)
+    train_s = summary["stage_seconds"]["train"]
+    summary["steps_per_second"] = round(len(history) / train_s, 3) if train_s else None
     with atomic_write(os.path.join(run_dir, RUN_REPORT)) as f:
         json.dump(summary, f, sort_keys=True, indent=2)
     return summary

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import shutil
 
@@ -219,6 +220,15 @@ def test_run_metrics_cover_every_step(micro_run):
     assert set(r["task"] for r in rows) <= {"caption", "oa_exists", "oa_list"}
 
 
+def test_run_metrics_log_gradient_norm_and_truncation(micro_run):
+    cfg, _ = micro_run
+    with open(os.path.join(cfg.out, "metrics.jsonl")) as f:
+        rows = [json.loads(l) for l in f if l.strip()]
+    assert all(set(r) == {"step", "task", "loss", "grad_norm", "truncated"} for r in rows)
+    assert all(math.isfinite(r["grad_norm"]) and r["grad_norm"] > 0 for r in rows)
+    assert all(isinstance(r["truncated"], int) and 0 <= r["truncated"] <= 4 for r in rows)
+
+
 def test_run_complete_detects_state(micro_run, tmp_path):
     cfg, _ = micro_run
     assert run_complete(cfg.out, cfg.source_text)
@@ -247,6 +257,7 @@ def test_run_json_reports_stage_seconds(micro_run):
     # may overshoot the rounded total by far less than a microsecond
     assert sum(stages.values()) <= stored["wall_seconds"] + 1e-9
     assert stages == summary["stage_seconds"]
+    assert stored["steps_per_second"] == round(25 / stages["train"], 3)
 
 
 def test_resume_of_finished_run_is_stable(micro_run):
@@ -273,7 +284,7 @@ def test_resume_after_crash_logs_each_step_once(micro_run, tmp_path, monkeypatch
         if len(steps) == 15:
             raise TrainingError("simulated crash at step 15")
         steps.append(state.step)
-        real(params, state)
+        return real(params, state)
 
     with monkeypatch.context() as mp:
         mp.setattr(M, "adam_step", crash_at_15)
@@ -313,7 +324,7 @@ def test_interrupted_rerun_leaves_no_old_results(micro_run, tmp_path, monkeypatc
         if len(steps) == 3:
             raise TrainingError("simulated crash at step 3")
         steps.append(state.step)
-        real(params, state)
+        return real(params, state)
 
     monkeypatch.setattr(M, "adam_step", crash_at_3)
     assert main(["train", "--config", str(ini)]) == 3

@@ -89,6 +89,33 @@ def test_row_max_equals_max_over_last_axis():
         assert np.array_equal(got, expect, equal_nan=True)
 
 
+def _sum_to(g, shape):
+    """numpy's own reduction of ``g`` to a broadcast ``shape``."""
+    lead = g.ndim - len(shape)
+    full = (1,) * lead + tuple(shape)
+    axes = tuple(i for i, n in enumerate(full) if n == 1 and g.shape[i] != 1)
+    return g.sum(axis=axes, keepdims=True).reshape(shape)
+
+
+def test_row_sum_matches_numpy_on_noncontiguous_input():
+    x = np.random.default_rng(15).normal(size=(5, 6, 7))
+    for arr in (x, x[:, ::2], x.transpose(1, 0, 2), x[..., ::-1], x[2, 3]):
+        expect = arr.sum(-1, keepdims=True)
+        got = K._row_sum(arr)
+        assert got.shape == expect.shape and got.dtype == expect.dtype
+        np.testing.assert_allclose(got, expect, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("shape", [(7,), (1, 5, 7), (1, 1, 7), (4, 5, 7), (4, 1, 7), (1, 1, 1), ()])
+def test_unbroadcast_matches_numpy_sum(shape):
+    # leading-axis targets take the GEMV, the others numpy's sum; both on a
+    # non-contiguous gradient
+    g = np.random.default_rng(16).normal(size=(5, 4, 7)).transpose(1, 0, 2)
+    got = K._unbroadcast(g, shape)
+    assert got.shape == shape
+    np.testing.assert_allclose(got, _sum_to(g, shape), rtol=0, atol=1e-12)
+
+
 def test_layer_norm_hand_example():
     out = layer_norm(t64([[1.0, 3.0]]), t64([1.0, 1.0]), t64([0.0, 0.0]))
     assert np.allclose(out.data, [[-1.0, 1.0]], atol=1e-5)
@@ -237,6 +264,17 @@ def test_repeated_backward_accumulates():
     assert x2.grad == 10.0
 
 
+def test_backward_keeps_gradients_on_leaves_only():
+    x = t64(np.ones(3))
+    h = scale(x, 2.0)
+    loss = matmul(reshape(h, (1, 3)), Tensor(np.ones((3, 1))))
+    backward(loss)
+    assert h.grad is None and loss.grad is None
+    np.testing.assert_array_equal(x.grad, [2.0, 2.0, 2.0])
+    backward(loss)  # the tape is intact: a second sweep accumulates
+    np.testing.assert_array_equal(x.grad, [4.0, 4.0, 4.0])
+
+
 def test_diamond_graph_accumulation():
     # y = x*x + x: dy/dx = 2x + 1
     x = t64(3.0)
@@ -322,6 +360,27 @@ def test_layer_norm_forward_matches_two_pass_statistics():
     assert np.array_equal(out.data, expect)
 
 
+@pytest.mark.parametrize("rows, ids", [
+    (6, np.array([3, 1, 3, 0, 3, 1])),        # repeated
+    (9, np.array([2, 4, 5, 8])),              # strictly increasing: one write
+    (7, np.array([[1, 6, 1], [0, 6, 2]])),    # 2-D, repeated across rows
+    (4, np.array([2])),                       # a single id
+    (4, np.array(3)),                         # a scalar id
+    (4, np.array([-1, 0, 3])),                # negative, repeats row 3
+    (300, np.array([250, 5, 250], np.uint8)), # uint8: the cell index must not wrap
+    (5000, np.random.default_rng(17).integers(0, 5000, size=(16, 27))),
+])
+def test_embedding_gradient_matches_add_at(rows, ids):
+    rng = np.random.default_rng(18)
+    table = t64(rng.normal(size=(rows, 5)))
+    out = embedding(table, ids)
+    g = rng.normal(size=out.data.shape)
+    out._backward(g)
+    expect = np.zeros_like(table.data)
+    np.add.at(expect, ids, g)
+    np.testing.assert_allclose(table.grad, expect, rtol=0, atol=1e-12)
+
+
 def test_embedding_rejects_float_ids():
     with pytest.raises(ShapeError):
         embedding(t64(np.zeros((4, 2))), np.array([0.5, 1.5]))
@@ -398,6 +457,38 @@ def test_adam_nonfinite_grad_names_parameter():
         adam_step([p], AdamState(lr=0.1))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_adam_nonfinite_float32_grad_named_among_several(bad):
+    ok = Parameter("decoder.out", np.ones(3, np.float32))
+    p = Parameter("encoder.layer0.w_q", np.ones(2, np.float32))
+    ok.grad = np.ones(3, np.float32)
+    p.grad = np.array([1.0, bad], np.float32)
+    with pytest.raises(OptimizerError, match="encoder.layer0.w_q"):
+        adam_step([ok, p], AdamState(lr=0.1))
+
+
+def test_adam_overflowing_norm_is_not_a_nonfinite_gradient():
+    # 1e20 is finite in float32, its square is not: the dot overflows, and
+    # the exact scan finds every gradient finite
+    p = Parameter("w", np.ones(8, np.float32))
+    p.grad = np.full(8, 1e20, np.float32)
+    with np.errstate(over="ignore"):
+        assert not np.isfinite(np.dot(p.grad, p.grad))
+        norm = adam_step([p], AdamState(lr=0.1))
+    assert math.isclose(norm, 1e20 * math.sqrt(8), rel_tol=1e-6)
+    assert np.all(np.isfinite(p.data))
+
+
+def test_adam_returns_global_gradient_norm():
+    rng = np.random.default_rng(19)
+    params = [Parameter(n, rng.normal(size=s).astype(np.float32)) for n, s in (("a", (3, 4)), ("b", 5))]
+    for p in params:
+        p.grad = rng.normal(size=p.data.shape).astype(np.float32)
+    expect = math.sqrt(sum(float(np.sum(p.grad.astype(np.float64) ** 2)) for p in params))
+    assert math.isclose(adam_step(params, AdamState(lr=0.01)), expect, rel_tol=1e-6)
+    assert adam_step([Parameter("idle", np.ones(2))], AdamState(lr=0.01)) == 0.0
+
+
 def _adam_reference(arrays, grads, m, v, step, lr, b1=0.9, b2=0.999, eps=1e-8):
     """The per-parameter loop that adam_step replaced, on plain dicts."""
     for name, g in grads.items():
@@ -436,6 +527,28 @@ def test_adam_skips_parameter_without_grad():
         assert p.data.tobytes() == ref[name].tobytes()
         assert st.m[name].tobytes() == ref_m[name].tobytes()
         assert st.v[name].tobytes() == ref_v[name].tobytes()
+
+
+def test_blocked_adam_matches_reference_across_block_boundaries():
+    # parameters that straddle block ends, so every block holds pieces of
+    # two of them; bitwise against the per-parameter loop
+    rng = np.random.default_rng(20)
+    sizes = {"first": K.ADAM_BLOCK - 3, "second": 10, "third": K.ADAM_BLOCK + 5}
+    params = [Parameter(n, rng.normal(size=k).astype(np.float32)) for n, k in sizes.items()]
+    ref = {p.name: p.data.copy() for p in params}
+    ref_m, ref_v = {}, {}
+    st = AdamState(lr=0.01)
+    assert sum(sizes.values()) > 2 * K.ADAM_BLOCK
+    for step in range(1, 4):
+        for p in params:
+            p.grad = rng.normal(size=p.data.shape).astype(np.float32)
+        adam_step(params, st)
+        _adam_reference(ref, {p.name: p.grad for p in params}, ref_m, ref_v, step, 0.01)
+    assert len(st.flat.blocks) == 3
+    for p in params:
+        assert p.data.tobytes() == ref[p.name].tobytes(), p.name
+        assert st.m[p.name].tobytes() == ref_m[p.name].tobytes(), p.name
+        assert st.v[p.name].tobytes() == ref_v[p.name].tobytes(), p.name
 
 
 def test_adam_nonfinite_grad_changes_nothing():
