@@ -18,7 +18,7 @@ import os
 import statistics
 
 from . import atomic_write, tasksynth
-from .config import RunConfig, render_config
+from .config import derive_config
 from .runner import load_run_report, run_complete, run_training
 from .tasksynth import EASY, HARD, KIND_NAMES, TaskKind
 
@@ -49,22 +49,9 @@ GRIDS = {"paper-table1": TABLE1, "paper-table2": TABLE2}
 
 
 def variant_config(base, name, kinds, policy, seed, out_root, eval_kinds):
-    cfg = RunConfig(
-        seed=seed,
-        out=os.path.join(out_root, name, f"seed{seed}"),
-        eval_split=base.eval_split,
-        corpus=dict(base.corpus),
-        tasks=dict(base.tasks),
-        weights=[],
-        schedule=dict(base.schedule),
-        model=dict(base.model),
-        train=dict(base.train),
-    )
-    cfg.tasks["kinds"] = list(kinds)
-    cfg.tasks["policy"] = policy
-    cfg.train["eval_kinds"] = list(eval_kinds)
-    cfg.source_text = render_config(cfg)
-    return cfg
+    return derive_config(base, seed=seed, out=os.path.join(out_root, name, f"seed{seed}"),
+                         tasks={**base.tasks, "kinds": list(kinds), "policy": policy},
+                         weights=[], train={**base.train, "eval_kinds": list(eval_kinds)})
 
 
 def variant_metrics(report):

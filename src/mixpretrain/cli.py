@@ -27,10 +27,10 @@ from . import __version__, load_bundled_lexicon
 from .ablate import GRIDS, OA_QUESTIONS, easy_hard_matrix, run_grid, write_easy_hard_csv
 from .config import (
     default_config_text,
+    derive_config,
     load_run_config,
     parse_kinds,
     parse_run_config,
-    render_config,
 )
 from .corpus import (
     BuildError,
@@ -126,16 +126,12 @@ def _load_config_with_overrides(args):
         cfg = load_run_config(args.config)
     else:
         cfg = parse_run_config(default_config_text())
-    changed = False
+    changes = {}
     if args.seed is not None:
-        cfg.seed = args.seed
-        changed = True
+        changes["seed"] = args.seed
     if args.out:
-        cfg.out = args.out
-        changed = True
-    if changed:
-        cfg.source_text = render_config(cfg)
-    return cfg
+        changes["out"] = args.out
+    return derive_config(cfg, **changes) if changes else cfg
 
 
 def cmd_train(args):
@@ -148,7 +144,6 @@ def cmd_train(args):
 def cmd_eval(args):
     run_dir = args.run
     cfg = load_run_config(os.path.join(run_dir, "config.ini"))
-    cfg.out = run_dir  # the stored config may name a different original out dir
     state = load_checkpoint(os.path.join(run_dir, CHECKPOINT))
     vocab = Vocab.load(os.path.join(run_dir, "vocab.json"))
     corpus, _ = _load_or_synth_corpus(cfg)

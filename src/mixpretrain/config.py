@@ -5,11 +5,14 @@ the run directory so every experiment carries its exact provenance."""
 from __future__ import annotations
 
 import configparser
+import dataclasses
 import io
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass
 
 from .corpus import ConfigError
-from .tasksynth import EASY, HARD, KIND_NAMES, TaskKind
+from .mixture import MixtureSpec, ScheduleConfig
+from .model import MIN_VOCAB_SIZE, ModelConfig
+from .tasksynth import EASY, KIND_NAMES, SynthConfig, TaskKind
 
 # section -> key -> (type tag, default).  Unknown keys are config errors:
 # silently ignoring a typo like "n_layer" would corrupt an ablation.
@@ -36,7 +39,7 @@ _SCHEMA = {
         "yes_no_balance": ("float", 0.5),
     },
     "mixture": {
-        "weights": ("list", []),  # empty -> equal weights over kinds
+        "weights": ("floats", []),  # empty -> equal weights over kinds
     },
     "schedule": {
         "total_steps": ("int", 300),
@@ -75,16 +78,19 @@ def parse_kinds(names, what="task kind"):
 
 @dataclass
 class RunConfig:
-    seed: int = 0
-    out: str = "runs/run"
-    eval_split: float = 0.2
-    corpus: dict = field(default_factory=dict)
-    tasks: dict = field(default_factory=dict)
-    weights: list = field(default_factory=list)
-    schedule: dict = field(default_factory=dict)
-    model: dict = field(default_factory=dict)
-    train: dict = field(default_factory=dict)
-    source_text: str = ""  # exact INI text this config was parsed from
+    """A parsed run config.  Build it with `parse_run_config`, the one gate:
+    a config that comes out of it is one the run accepts."""
+
+    seed: int
+    out: str
+    eval_split: float
+    corpus: dict
+    tasks: dict
+    weights: list
+    schedule: dict
+    model: dict
+    train: dict
+    source_text: str  # exact INI text this config was parsed from
 
     @property
     def kinds(self):
@@ -98,6 +104,31 @@ class RunConfig:
         d = asdict(self)
         d.pop("source_text")
         return d
+
+    # the only place where config keys become the typed configs of a run
+
+    def synth_config(self, policy):
+        t = self.tasks
+        return SynthConfig(seed=self.seed, mlm_mask_rate=t["mlm_mask_rate"],
+                           mlm_mean_span=t["mlm_mean_span"],
+                           yes_no_balance=t["yes_no_balance"], policy=policy)
+
+    def model_config(self, vocab_size):
+        m = self.model
+        return ModelConfig(vocab_size=vocab_size, d_model=m["d_model"], n_heads=m["n_heads"],
+                           n_encoder_layers=m["n_encoder_layers"],
+                           n_decoder_layers=m["n_decoder_layers"], d_ff=m["d_ff"],
+                           patch=m["patch"], image_size=self.image_size,
+                           max_prompt=m["max_prompt"], max_target=m["max_target"])
+
+    def mixture(self):
+        if self.weights:
+            return MixtureSpec(self.kinds, self.weights)
+        return MixtureSpec.equal(self.kinds)
+
+    def schedule_config(self):
+        return ScheduleConfig(total_steps=self.schedule["total_steps"],
+                              batch_size=self.schedule["batch_size"], seed=self.seed)
 
 
 def _sections(cfg):
@@ -126,14 +157,17 @@ def _coerce(section, key, raw):
         if tag == "float":
             return float(raw)
         if tag == "list":
-            return [p.strip() for p in raw.replace(",", " ").split() if p.strip()]
+            return raw.replace(",", " ").split()
+        if tag == "floats":
+            return [float(p) for p in raw.replace(",", " ").split()]
         return raw
     except ValueError:
         raise ConfigError(f"[{section}] {key}: cannot parse {raw!r} as {tag}") from None
 
 
 def parse_run_config(text):
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    # no interpolation: a value such as a path may hold a literal "%"
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), interpolation=None)
     try:
         parser.read_string(text)
     except configparser.Error as e:
@@ -154,7 +188,7 @@ def parse_run_config(text):
         eval_split=values["run"]["eval_split"],
         corpus=values["corpus"],
         tasks=values["tasks"],
-        weights=[float(w) for w in values["mixture"]["weights"]],
+        weights=values["mixture"]["weights"],
         schedule=values["schedule"],
         model=values["model"],
         train=values["train"],
@@ -165,6 +199,8 @@ def parse_run_config(text):
 
 
 def _validate(cfg):
+    """Checks of keys no typed config covers, then one build of each typed
+    config, whose own checks cover the rest."""
     if not (0.0 <= cfg.eval_split < 1.0):
         raise ConfigError("eval_split must be in [0, 1)")
     if cfg.corpus["source"] not in ("synth", "dir"):
@@ -179,19 +215,15 @@ def _validate(cfg):
             if tag == "int" and value < lo:
                 raise ConfigError(f"[{section}] {key} must be >= {lo}, got {value}")
     parse_kinds(cfg.kinds)
-    if not cfg.kinds:
-        raise ConfigError("at least one task kind required")
-    if len(set(cfg.kinds)) != len(cfg.kinds):
-        raise ConfigError("duplicate task kinds")
-    if cfg.tasks["policy"] not in (EASY, HARD):
-        raise ConfigError(f"policy must be {EASY} or {HARD}")
     parse_kinds(cfg.train["eval_kinds"], "eval kind")
-    if cfg.weights and len(cfg.weights) != len(cfg.kinds):
-        raise ConfigError("mixture weights must match task kinds in length")
-    if cfg.corpus["source"] == "synth" and cfg.image_size % cfg.model["patch"] != 0:
-        raise ConfigError(
-            f"image size {cfg.image_size} (grid*cell) not divisible by patch {cfg.model['patch']}"
-        )
+    for section, build in (("tasks", lambda: cfg.synth_config(cfg.tasks["policy"])),
+                           ("model", lambda: cfg.model_config(MIN_VOCAB_SIZE)),
+                           ("mixture", cfg.mixture),
+                           ("schedule", cfg.schedule_config)):
+        try:
+            build()
+        except ValueError as e:
+            raise ConfigError(f"[{section}] {e}") from None
 
 
 def load_run_config(path):
@@ -204,8 +236,8 @@ def load_run_config(path):
 
 
 def render_config(cfg):
-    """INI text for a RunConfig; used when no source file exists to echo."""
-    parser = configparser.ConfigParser()
+    """INI text for a RunConfig, in schema layout."""
+    parser = configparser.ConfigParser(interpolation=None)
     for sec, keys in _sections(cfg).items():
         parser[sec] = {}
         for k, v in keys.items():
@@ -215,13 +247,12 @@ def render_config(cfg):
     return buf.getvalue()
 
 
+def derive_config(cfg, **changes):
+    """``cfg`` with the fields in ``changes`` replaced, rendered and parsed
+    again: a derived config passes the same gate as a file and echoes its
+    own text."""
+    return parse_run_config(render_config(dataclasses.replace(cfg, **changes)))
+
+
 def default_config_text(out="runs/demo", seed=0):
-    cfg = RunConfig()
-    cfg.corpus = _defaults()["corpus"]
-    cfg.tasks = _defaults()["tasks"]
-    cfg.schedule = _defaults()["schedule"]
-    cfg.model = _defaults()["model"]
-    cfg.train = _defaults()["train"]
-    cfg.out = out
-    cfg.seed = seed
-    return render_config(cfg)
+    return render_config(parse_run_config(f"[run]\nseed = {seed}\nout = {out}\n"))

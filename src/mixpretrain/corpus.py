@@ -52,14 +52,12 @@ class ClassEntry:
 class ImageRecord:
     image_id: str
     pixels: np.ndarray  # (H, W, 3) float32 in [0, 1]
-    source: str = "file"  # "file" | "synthetic"
 
     def __eq__(self, other):
         if not isinstance(other, ImageRecord):
             return NotImplemented
         return (
             self.image_id == other.image_id
-            and self.source == other.source
             and self.pixels.shape == other.pixels.shape
             and np.array_equal(self.pixels, other.pixels)
         )
@@ -90,9 +88,6 @@ class Lexicon:
 
     def related(self, noun):
         return self.entries[noun]
-
-    def keys(self):
-        return self.entries.keys()
 
 
 @dataclass
@@ -516,7 +511,7 @@ def synth_corpus(seed, n_images, object_vocab=None, grid=4, hidden_rate=0.0, cel
             labels.append(ImageLabel(image_id, synth_class_id(name), "negative", "human"))
 
         captions.append(CaptionRecord(image_id, caption_for(labeled)))
-        images.append(ImageRecord(image_id, render_image(placements, object_vocab, grid, cell), "synthetic"))
+        images.append(ImageRecord(image_id, render_image(placements, object_vocab, grid, cell)))
 
     return build_corpus(
         classes,
@@ -636,8 +631,7 @@ def load_corpus(path):
             image_id = fname[: -len(".f32")]
             with open(os.path.join(pixel_dir, fname), "rb") as f:
                 pixels = _read_pixels(f)
-            source = "synthetic" if manifest.get("meta", {}).get("source") == "synthetic" else "file"
-            images.append(ImageRecord(image_id, pixels, source))
+            images.append(ImageRecord(image_id, pixels))
 
     lexicon = None
     lex_path = os.path.join(path, "lexicon.tsv")

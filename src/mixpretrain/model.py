@@ -66,6 +66,7 @@ class VersionError(CheckpointError):
 
 PAD, EOS, UNK = "<pad>", "<eos>", "<unk>"
 N_SENTINELS = 16
+MIN_VOCAB_SIZE = 3 + N_SENTINELS  # the special tokens alone
 
 
 def sentinel(k):
@@ -109,7 +110,7 @@ class Vocab:
         return hashlib.sha256(blob).hexdigest()
 
     def save(self, path):
-        with open(path, "w") as f:
+        with atomic_write(path) as f:
             json.dump(self.id_to_token, f, indent=0)
 
     @classmethod
@@ -165,7 +166,7 @@ class ModelConfig:
             raise ShapeError(f"d_model {self.d_model} not divisible by n_heads {self.n_heads}")
         if self.image_size % self.patch:
             raise ShapeError(f"image_size {self.image_size} not divisible by patch {self.patch}")
-        if self.vocab_size < 19:
+        if self.vocab_size < MIN_VOCAB_SIZE:
             raise ValueError("vocab_size must cover the special tokens")
 
     @property
@@ -372,17 +373,14 @@ class Model:
 
     # -- generation --------------------------------------------------------
 
-    def generate_batch(self, images, prompt_ids, prompt_mask=None, max_len=None):
-        """Greedy decode.  Returns list of id lists (no pad, stop at eos).
+    def generate_batch(self, images, prompt_ids, prompt_mask=None):
+        """Greedy decode of up to ``max_target`` tokens.  Returns list of id
+        lists (no pad, stop at eos).
 
         Feeds one token per step through a decoder K/V cache and stops once
         every row has emitted eos.
         """
-        cfg = self.cfg
-        if max_len is None:
-            max_len = cfg.max_target
-        if max_len > cfg.max_target:
-            raise ShapeError(f"max_len {max_len} > configured max target {cfg.max_target}")
+        max_len = self.cfg.max_target
         prompt_ids = np.asarray(prompt_ids)
         if prompt_mask is None:
             prompt_mask = (prompt_ids != Vocab.pad_id).astype(self.dtype)

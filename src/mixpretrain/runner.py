@@ -16,28 +16,20 @@ import random
 import time
 
 from . import atomic_write, load_bundled_lexicon, staged_dir
-from .config import RunConfig, render_config
+from .config import RunConfig
 from .corpus import ConfigError, load_corpus, synth_corpus
 from .evalkit import evaluate, write_predictions
-from .mixture import MixtureSpec, ScheduleConfig, build_schedule
+from .mixture import build_schedule
 from .model import (
     AdamState,
     CheckpointError,
     Model,
-    ModelConfig,
     build_vocab,
     load_checkpoint,
     restore_model,
     train,
 )
-from .tasksynth import (
-    EASY,
-    SynthConfig,
-    TaskKind,
-    load_task_file,
-    synth_dataset,
-    write_task_files,
-)
+from .tasksynth import EASY, TaskKind, load_task_file, synth_dataset, write_task_files
 
 CHECKPOINT = "checkpoint.mpt"
 EVAL_REPORT = "eval.json"
@@ -74,22 +66,6 @@ def _load_or_synth_corpus(cfg):
     return corpus, load_bundled_lexicon()
 
 
-def _synth_config(cfg, policy):
-    t = cfg.tasks
-    return SynthConfig(seed=cfg.seed, mlm_mask_rate=t["mlm_mask_rate"],
-                       mlm_mean_span=t["mlm_mean_span"],
-                       yes_no_balance=t["yes_no_balance"], policy=policy)
-
-
-def _model_config(cfg, vocab_size):
-    m = cfg.model
-    return ModelConfig(vocab_size=vocab_size, d_model=m["d_model"], n_heads=m["n_heads"],
-                       n_encoder_layers=m["n_encoder_layers"],
-                       n_decoder_layers=m["n_decoder_layers"], d_ff=m["d_ff"],
-                       patch=m["patch"], image_size=cfg.image_size,
-                       max_prompt=m["max_prompt"], max_target=m["max_target"])
-
-
 def check_checkpoint(state, cfg, corpus, vocab):
     """Refuse a checkpoint written under another vocab, corpus or model
     config than the run ``cfg`` rebuilds; the error names what differs.
@@ -101,7 +77,7 @@ def check_checkpoint(state, cfg, corpus, vocab):
         diffs.append("vocab")
     if state.corpus_fingerprint != corpus.fingerprint():
         diffs.append("corpus")
-    mcfg = _model_config(cfg, len(vocab))
+    mcfg = cfg.model_config(len(vocab))
     changed = [f"{f.name} {getattr(state.config, f.name)} -> {getattr(mcfg, f.name)}"
                for f in dataclasses.fields(mcfg)
                if getattr(state.config, f.name) != getattr(mcfg, f.name)]
@@ -155,7 +131,7 @@ def run_training(cfg: RunConfig, resume=False, log=None):
     stage_done("corpus")
 
     kinds = [TaskKind(k) for k in cfg.kinds]
-    scfg = _synth_config(cfg, cfg.tasks["policy"])
+    scfg = cfg.synth_config(cfg.tasks["policy"])
     ckpt_path = os.path.join(run_dir, CHECKPOINT)
     state = None
     # build and check first, so a refused or failed set-up leaves the run
@@ -179,7 +155,7 @@ def run_training(cfg: RunConfig, resume=False, log=None):
             with contextlib.suppress(FileNotFoundError):
                 os.remove(os.path.join(run_dir, name))
         with atomic_write(os.path.join(run_dir, CONFIG_ECHO)) as f:
-            f.write(cfg.source_text or render_config(cfg))
+            f.write(cfg.source_text)
     vocab.save(os.path.join(run_dir, "vocab.json"))
     say(f"vocab: {len(vocab)} tokens")
     stage_done("vocab")
@@ -190,15 +166,11 @@ def run_training(cfg: RunConfig, resume=False, log=None):
         start_step = state.step
         say(f"resumed at step {start_step}")
     else:
-        model = Model(_model_config(cfg, len(vocab)), seed=cfg.seed)
+        model = Model(cfg.model_config(len(vocab)), seed=cfg.seed)
         opt = AdamState(lr=cfg.train["lr"])
 
-    weights = cfg.weights or None
-    spec = MixtureSpec(cfg.kinds, weights) if weights else MixtureSpec.equal(cfg.kinds)
-    sched_cfg = ScheduleConfig(total_steps=cfg.schedule["total_steps"],
-                               batch_size=cfg.schedule["batch_size"], seed=cfg.seed)
     sizes = {k: len(v) for k, v in datasets.items()}
-    schedule = build_schedule(spec, sched_cfg, sizes)
+    schedule = build_schedule(cfg.mixture(), cfg.schedule_config(), sizes)
 
     images = {i: corpus.images[i].pixels for i in train_ids}
     history = train(
@@ -212,7 +184,7 @@ def run_training(cfg: RunConfig, resume=False, log=None):
     stage_done("train")
 
     summary = {
-        "steps": sched_cfg.total_steps,
+        "steps": cfg.schedule["total_steps"],
         "final_loss": final_loss,
         "n_train_images": len(train_ids),
         "n_eval_images": len(eval_ids),
@@ -262,7 +234,7 @@ def eval_questions(cfg, eval_corpus):
     different kinds still answer the same questions."""
     kinds = [TaskKind(k) for k in (cfg.train["eval_kinds"] or cfg.kinds)]
     return list(synth_dataset(eval_corpus, kinds, cfg.train["eval_count_per_kind"],
-                              _synth_config(cfg, EASY)))
+                              cfg.synth_config(EASY)))
 
 
 def evaluate_run(model, vocab, cfg, eval_corpus, run_dir):

@@ -44,6 +44,8 @@ EASY = "easy"
 HARD = "hard"
 
 MAX_SENTINELS = 16
+COMPLETION_SPLIT = (0.25, 0.75)  # range of the prefix fraction of a completion
+ANDOR_K = (2, 3)  # names in an and/or question
 
 
 class NoNounFound(ValueError):
@@ -99,8 +101,6 @@ class SynthConfig:
     seed: int = 0
     mlm_mask_rate: float = 0.15
     mlm_mean_span: float = 3.0
-    completion_split: tuple = (0.25, 0.75)
-    andor_k: tuple = (2, 3)
     yes_no_balance: float = 0.5
     policy: str = EASY
 
@@ -109,13 +109,6 @@ class SynthConfig:
             raise ValueError("mlm_mask_rate must be in (0,1)")
         if self.mlm_mean_span < 1.0:
             raise ValueError("mlm_mean_span must be >= 1")
-        lo, hi = self.completion_split
-        if not (0.0 < lo <= hi < 1.0):
-            raise ValueError("completion_split must satisfy 0 < lo <= hi < 1")
-        ks = tuple(sorted(set(int(k) for k in self.andor_k)))
-        if not ks or not set(ks) <= {2, 3}:
-            raise ValueError("andor_k must be a non-empty subset of {2,3}")
-        self.andor_k = ks
         if not (0.0 < self.yes_no_balance < 1.0):
             raise ValueError("yes_no_balance must be in (0,1)")
         if self.policy not in (EASY, HARD):
@@ -134,10 +127,10 @@ def synth_caption(record):
     )
 
 
-def synth_completion(record, cfg, rng):
+def synth_completion(record, rng):
     """Prefix -> suffix completion of a caption of at least 4 tokens."""
     toks = normalize_caption(record.caption).split()
-    lo, hi = cfg.completion_split
+    lo, hi = COMPLETION_SPLIT
     split = int(round(rng.uniform(lo, hi) * len(toks)))
     split = max(1, min(len(toks) - 1, split))
     return TaskExample(
@@ -363,7 +356,7 @@ def synth_oa_andor(image_id, positives, distractors, cfg, rng):
     """
     positives = set(positives)
     union = sorted(positives | set(distractors))
-    feasible = [k for k in cfg.andor_k if k <= len(union)]
+    feasible = [k for k in ANDOR_K if k <= len(union)]
     k = feasible[rng.randrange(len(feasible))]
     connective = ("and", "or")[rng.randrange(2)]
     want_yes = rng.random() < cfg.yes_no_balance
@@ -434,7 +427,7 @@ def task_source(kind, corpus, image_id, cfg, pool):
     distractors = distractor_names(corpus, image_id, cfg.policy)
     if not distractors:
         return None
-    if kind == TaskKind.OA_ANDOR and len(set(positives) | set(distractors)) < min(cfg.andor_k):
+    if kind == TaskKind.OA_ANDOR and len(set(positives) | set(distractors)) < min(ANDOR_K):
         return None
     if kind == TaskKind.OA_WHICH and len(positives) + len(distractors) < 3:
         return None
@@ -463,7 +456,7 @@ def eligible_images(corpus, kind, cfg, pool=None):
 # kind's material is the one record drawn for the example
 _GENERATORS = {
     TaskKind.CAPTION: lambda i, rec, cfg, rng, lex, pool: synth_caption(rec),
-    TaskKind.COMPLETION: lambda i, rec, cfg, rng, lex, pool: synth_completion(rec, cfg, rng),
+    TaskKind.COMPLETION: lambda i, rec, cfg, rng, lex, pool: synth_completion(rec, rng),
     TaskKind.ITM: lambda i, rec, cfg, rng, lex, pool: synth_itm(rec, pool, lex, cfg, rng),
     TaskKind.MLM: lambda i, rec, cfg, rng, lex, pool: synth_mlm(rec, cfg, rng),
     TaskKind.OA_LIST: lambda i, pos, cfg, rng, lex, pool: synth_oa_list(i, pos),
@@ -527,8 +520,8 @@ def write_task_files(corpus, kinds, count_per_kind, cfg, out_dir, lexicon=None):
         "config": {
             "mlm_mask_rate": cfg.mlm_mask_rate,
             "mlm_mean_span": cfg.mlm_mean_span,
-            "completion_split": list(cfg.completion_split),
-            "andor_k": list(cfg.andor_k),
+            "completion_split": list(COMPLETION_SPLIT),
+            "andor_k": list(ANDOR_K),
             "yes_no_balance": cfg.yes_no_balance,
         },
         "counts": counts,

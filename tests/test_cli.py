@@ -81,9 +81,15 @@ def test_default_config_parses():
 
 
 def test_config_round_trip():
-    cfg = micro_cfg("/tmp/x")
-    again = parse_run_config(render_config(cfg))
-    assert again.to_dict() == cfg.to_dict()
+    # render -> parse is a fixed point for every config a run can be given
+    base = micro_cfg("/tmp/x")
+    cfgs = [parse_run_config(default_config_text()), base, micro_cfg("/tmp/100%")]
+    cfgs += [variant_config(base, n, k, p, 0, "/tmp/g", ablate.OA_QUESTIONS) for n, k, p in TABLE1]
+    for cfg in cfgs:
+        text = render_config(cfg)
+        again = parse_run_config(text)
+        assert again.to_dict() == cfg.to_dict()
+        assert render_config(again) == text
 
 
 def test_unknown_section_rejected():
@@ -99,6 +105,8 @@ def test_unknown_key_rejected():
 def test_bad_value_type_rejected():
     with pytest.raises(ConfigError, match="total_steps"):
         parse_run_config("[schedule]\ntotal_steps = many\n")
+    with pytest.raises(ConfigError, match=r"\[mixture\] weights"):
+        parse_run_config("[mixture]\nweights = 1 x 1\n")
 
 
 @pytest.mark.parametrize("section, key, value", [
@@ -347,6 +355,29 @@ def test_resume_refuses_checkpoint_of_another_config(micro_run, tmp_path, capsys
     assert "Traceback" not in err
     # refused before anything in the run directory changed
     assert _dir_bytes(out) == before
+
+
+@pytest.mark.parametrize("old, new, argv, section", [
+    ("n_heads = 2", "n_heads = 3", [], "[model]"),
+    ("[train]\n", "[mixture]\nweights = 0 1 1\n[train]\n", [], "[mixture]"),
+    ("", "", ["--seed", "-1"], "[run]"),
+    ("[tasks]\n", "[tasks]\nyes_no_balance = 1.5\n", [], "[tasks]"),
+], ids=["n_heads", "zero_weight", "negative_seed", "yes_no_balance"])
+def test_config_refused_before_anything_runs(micro_run, tmp_path, capsys, monkeypatch,
+                                             old, new, argv, section):
+    def no_synthesis(*args, **kwargs):
+        raise AssertionError("corpus synthesized for a refused config")
+
+    monkeypatch.setattr("mixpretrain.runner.synth_corpus", no_synthesis)
+    out, ini = _copy_of_run(micro_run, tmp_path, old, new)
+    before = _dir_bytes(out)
+    fresh = tmp_path / "fresh"
+    for extra in ([], ["--out", str(fresh)]):
+        assert main(["train", "--config", str(ini), *argv, *extra]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {section} ") and "Traceback" not in err
+    assert _dir_bytes(out) == before
+    assert not os.path.exists(fresh)
 
 
 def _dir_bytes(root):

@@ -191,13 +191,6 @@ def test_generate_deterministic_no_pad():
     assert len(out1) <= model.cfg.max_target
 
 
-def test_generate_max_len_guard():
-    corp, exs, vocab, model, images = _tiny_setup()
-    with pytest.raises(ShapeError):
-        model.generate_batch(images[exs[0].image_id][None], np.array([vocab.encode("x")]),
-                             max_len=99)
-
-
 def _count_decode_calls(model):
     calls = []
     inner = model.decode
@@ -471,6 +464,20 @@ def test_failed_checkpoint_write_keeps_previous(tmp_path, monkeypatch):
     assert open(p, "rb").read() == before
     assert load_checkpoint(p).step == 0
     assert os.listdir(tmp_path) == ["ck.mpt"]
+
+
+def test_failed_vocab_write_keeps_previous(tmp_path, monkeypatch):
+    import mixpretrain
+
+    p = str(tmp_path / "vocab.json")
+    build_vocab([_ex("a b c", "d")]).save(p)
+    before = open(p, "rb").read()
+    with monkeypatch.context() as mp:
+        mp.setattr(mixpretrain, "open", lambda *a, **k: _DiskFull(open(*a, **k)), raising=False)
+        with pytest.raises(OSError, match="No space"):
+            build_vocab([_ex("zz", "qq")]).save(p)
+    assert open(p, "rb").read() == before
+    assert os.listdir(tmp_path) == ["vocab.json"]
 
 
 def test_checkpoint_round_trip_bitwise(tmp_path):

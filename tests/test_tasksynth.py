@@ -120,7 +120,7 @@ def test_caption_prompt_and_normalized_target():
 
 def test_completion_split_example():
     # 5 tokens, f=0.4 -> split index round(2.0)=2
-    ex = synth_completion(CaptionRecord("i", "a dog on the grass"), SynthConfig(), FakeRng(uniforms=[0.4]))
+    ex = synth_completion(CaptionRecord("i", "a dog on the grass"), FakeRng(uniforms=[0.4]))
     assert ex.prompt == "complete: a dog"
     assert ex.target == "on the grass"
 
@@ -135,11 +135,10 @@ def test_completion_skip_short_caption():
 
 def test_completion_split_stays_interior():
     rng = random.Random(0)
-    cfg = SynthConfig()
     for _ in range(200):
         n = rng.randint(4, 12)
         cap = " ".join(f"w{i}" for i in range(n))
-        ex = synth_completion(CaptionRecord("i", cap), cfg, rng)
+        ex = synth_completion(CaptionRecord("i", cap), rng)
         prefix = ex.prompt[len("complete: "):].split()
         suffix = ex.target.split()
         assert len(prefix) >= 1 and len(suffix) >= 1
@@ -636,9 +635,4 @@ def test_config_validation():
     with pytest.raises(ValueError):
         SynthConfig(mlm_mask_rate=0.0)
     with pytest.raises(ValueError):
-        SynthConfig(completion_split=(0.8, 0.2))
-    with pytest.raises(ValueError):
-        SynthConfig(andor_k=(4,))
-    with pytest.raises(ValueError):
         SynthConfig(policy="medium")
-    assert SynthConfig(andor_k=(3, 2, 2)).andor_k == (2, 3)
