@@ -12,6 +12,13 @@ import shutil
 __version__ = "0.1.0"
 
 
+class InputError(ValueError):
+    """A fault in an input the program reads: a config value or flag, an
+    annotation, corpus, vocab, checkpoint, metrics or scoring file.  The
+    message names the file or config section at fault.  The CLI exits 2 on
+    it; any other exception but a runtime training fault is a bug."""
+
+
 @contextlib.contextmanager
 def atomic_write(path, mode="w", **kwargs):
     """Open ``<path>.tmp`` for writing and rename it over ``path`` once the

@@ -12,7 +12,8 @@ Verbs, and the shared-name flags each one reads:
   init-config  write a starter run config                --seed --out
 
 A verb rejects any flag it does not read.  Exit codes: 0 ok, 2 input/config
-error, 3 runtime training error.
+error (an InputError or OSError), 3 runtime training error.  Any other
+exception is a bug and ends with its traceback.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import json
 import os
 import sys
 
-from . import __version__, load_bundled_lexicon
+from . import InputError, __version__, load_bundled_lexicon
 from .ablate import GRIDS, OA_QUESTIONS, easy_hard_matrix, run_grid, write_easy_hard_csv
 from .config import (
     default_config_text,
@@ -33,23 +34,20 @@ from .config import (
     parse_run_config,
 )
 from .corpus import (
-    BuildError,
     ConfigError,
-    ParseError,
-    ValidationError,
     build_corpus,
     build_lexicon,
     load_corpus,
     parse_class_descriptions,
     parse_image_labels,
     parse_localized_narratives,
+    read_input,
     save_corpus,
 )
 from .evalkit import score_files
 from .gradcheck import TOLERANCE, gradcheck_suite
-from .mixture import ScheduleError
-from .model import CheckpointError, TrainingError, Vocab, load_checkpoint, restore_model
-from .nnkernel import OptimizerError, ShapeError
+from .model import TrainingError, Vocab, load_checkpoint, restore_model
+from .nnkernel import OptimizerError
 from .runner import (
     CHECKPOINT,
     _load_or_synth_corpus,
@@ -58,12 +56,10 @@ from .runner import (
     run_training,
     split_image_ids,
 )
-from .tasksynth import EASY, HARD, SynthConfig, SynthesisError, TaskKind, write_task_files
+from .tasksynth import EASY, HARD, SynthConfig, TaskKind, write_task_files
 
-RUNTIME_FAULTS = (TrainingError, OptimizerError)
-CONFIG_FAULTS = (ConfigError, ParseError, ValidationError, BuildError, ScheduleError,
-                 SynthesisError, CheckpointError, ShapeError,
-                 ValueError, OSError)
+RUNTIME_FAULTS = (TrainingError, OptimizerError)  # exit 3
+INPUT_FAULTS = (InputError, OSError)  # exit 2; OSError covers missing paths
 
 
 def data_root():
@@ -79,13 +75,7 @@ def _under_root(path, default_name):
 
 def cmd_ingest(args):
     def parsed(parser, path):
-        if path is None:
-            return ()
-        try:
-            with open(path) as f:
-                return parser(f)
-        except ParseError as e:
-            raise ParseError(f"{path}: {e}") from None
+        return () if path is None else read_input(path, parser)
     classes = parsed(parse_class_descriptions, args.classes)
     labels = parsed(parse_image_labels, args.labels)
     captions = parsed(parse_localized_narratives, args.captions)
@@ -151,7 +141,7 @@ def cmd_eval(args):
     model, _ = restore_model(state)
     _, eval_ids = split_image_ids(corpus.image_ids(), cfg.eval_split, cfg.seed)
     if not eval_ids:
-        raise ConfigError("run has no eval split (eval_split = 0)")
+        raise ConfigError(f"{run_dir}: run has no eval split ([run] eval_split = 0)")
     report = evaluate_run(model, vocab, cfg, corpus.subset(eval_ids), run_dir)
     print(f"eval: {len(report.items)} items, exact match {report.overall_exact_match:.3f}, "
           f"hidden penalties {report.hidden_penalties} -> {run_dir}/eval.json")
@@ -222,6 +212,17 @@ def cmd_init_config(args):
 # ---------------------------------------------------------------------------
 # argument plumbing
 
+def _int_at_least(lo):
+    """An argparse type: an int of at least ``lo``."""
+    def parse(text):
+        value = int(text)
+        if value < lo:
+            raise argparse.ArgumentTypeError(f"must be >= {lo}, got {value}")
+        return value
+    parse.__name__ = "int"  # argparse names it in "invalid int value"
+    return parse
+
+
 def build_parser():
     p = argparse.ArgumentParser(prog="mixpretrain",
                                 description="object-aware task-mixture pretraining workbench")
@@ -242,7 +243,7 @@ def build_parser():
     sp.add_argument("--corpus", required=True, help="corpus directory")
     sp.add_argument("--kinds", default="all", help="comma list of task kinds, or 'all'")
     sp.add_argument("--policy", choices=(EASY, HARD), default=EASY)
-    sp.add_argument("--count", type=int, default=400, help="examples per kind")
+    sp.add_argument("--count", type=_int_at_least(1), default=400, help="examples per kind")
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--out", help="task output directory")
     sp.set_defaults(fn=cmd_synth)
@@ -265,14 +266,14 @@ def build_parser():
     sp.set_defaults(fn=cmd_score)
 
     sp = verb("gradcheck", help="finite-difference audit of kernels and model")
-    sp.add_argument("--seed", type=int, default=0, help="first of five seeds")
+    sp.add_argument("--seed", type=_int_at_least(0), default=0, help="first of five seeds")
     sp.set_defaults(fn=cmd_gradcheck)
 
     sp = verb("ablate", help="run a mixture/policy ablation grid")
     sp.add_argument("--grid", required=True, help="|".join(sorted(GRIDS)))
-    sp.add_argument("--seeds", type=int, default=3, help="number of seeds per variant")
+    sp.add_argument("--seeds", type=_int_at_least(1), default=3, help="number of seeds per variant")
     sp.add_argument("--out", help="grid output directory")
-    sp.add_argument("--jobs", type=int, default=1, help="worker processes")
+    sp.add_argument("--jobs", type=_int_at_least(1), default=1, help="worker processes")
     sp.add_argument("--config", help="base run config INI")
     sp.set_defaults(fn=cmd_ablate)
 
@@ -291,7 +292,7 @@ def main(argv=None):
     except RUNTIME_FAULTS as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
-    except CONFIG_FAULTS as e:
+    except INPUT_FAULTS as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

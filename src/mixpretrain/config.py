@@ -9,7 +9,7 @@ import dataclasses
 import io
 from dataclasses import asdict, dataclass
 
-from .corpus import ConfigError
+from .corpus import ConfigError, check_synth_args, read_input
 from .mixture import MixtureSpec, ScheduleConfig
 from .model import MIN_VOCAB_SIZE, ModelConfig
 from .tasksynth import EASY, KIND_NAMES, SynthConfig, TaskKind
@@ -69,10 +69,13 @@ _NON_NEGATIVE_INTS = {("run", "seed"), ("train", "checkpoint_every")}
 
 
 def parse_kinds(names, what="task kind"):
-    """The TaskKinds named by ``names``; an unknown name is a ConfigError."""
-    unknown = [n for n in names if n not in KIND_NAMES]
-    if unknown:
-        raise ConfigError(f"unknown {what} {unknown[0]!r}")
+    """The TaskKinds named by ``names``; an unknown or repeated name is a
+    ConfigError."""
+    for i, name in enumerate(names):
+        if name not in KIND_NAMES:
+            raise ConfigError(f"unknown {what} {name!r}")
+        if name in names[:i]:
+            raise ConfigError(f"repeated {what} {name!r}")
     return [TaskKind(n) for n in names]
 
 
@@ -199,14 +202,18 @@ def parse_run_config(text):
 
 
 def _validate(cfg):
-    """Checks of keys no typed config covers, then one build of each typed
-    config, whose own checks cover the rest."""
+    """Checks of keys no typed config covers, then one run of each check a
+    typed config or the corpus synthesis makes, which cover the rest.  Every
+    error names its section."""
+    c = cfg.corpus
     if not (0.0 <= cfg.eval_split < 1.0):
-        raise ConfigError("eval_split must be in [0, 1)")
-    if cfg.corpus["source"] not in ("synth", "dir"):
-        raise ConfigError(f"corpus source must be synth or dir, got {cfg.corpus['source']!r}")
-    if cfg.corpus["source"] == "dir" and not cfg.corpus["dir"]:
-        raise ConfigError("corpus source=dir requires a dir path")
+        raise ConfigError("[run] eval_split must be in [0, 1)")
+    if c["source"] not in ("synth", "dir"):
+        raise ConfigError(f"[corpus] source must be synth or dir, got {c['source']!r}")
+    if c["source"] == "dir" and not c["dir"]:
+        raise ConfigError("[corpus] source = dir requires a dir path")
+    if not cfg.kinds:
+        raise ConfigError("[tasks] kinds must name at least one task kind")
     sections = _sections(cfg)
     for section, keys in _SCHEMA.items():
         for key, (tag, _) in keys.items():
@@ -214,9 +221,11 @@ def _validate(cfg):
             lo = 0 if (section, key) in _NON_NEGATIVE_INTS else 1
             if tag == "int" and value < lo:
                 raise ConfigError(f"[{section}] {key} must be >= {lo}, got {value}")
-    parse_kinds(cfg.kinds)
-    parse_kinds(cfg.train["eval_kinds"], "eval kind")
-    for section, build in (("tasks", lambda: cfg.synth_config(cfg.tasks["policy"])),
+    for section, build in (("corpus", lambda: check_synth_args(c["n_images"], c["grid"],
+                                                               c["hidden_rate"])),
+                           ("tasks", lambda: parse_kinds(cfg.kinds)),
+                           ("train", lambda: parse_kinds(cfg.train["eval_kinds"], "eval kind")),
+                           ("tasks", lambda: cfg.synth_config(cfg.tasks["policy"])),
                            ("model", lambda: cfg.model_config(MIN_VOCAB_SIZE)),
                            ("mixture", cfg.mixture),
                            ("schedule", cfg.schedule_config)):
@@ -228,8 +237,7 @@ def _validate(cfg):
 
 def load_run_config(path):
     try:
-        with open(path) as f:
-            text = f.read()
+        text = read_input(path, lambda f: f.read())
     except OSError as e:
         raise ConfigError(f"cannot read config {path}: {e}") from None
     return parse_run_config(text)

@@ -20,23 +20,40 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import InputError
+
 CORPUS_FORMAT_VERSION = "2"
 
 
-class ParseError(ValueError):
+class ParseError(InputError):
     """Malformed input row/line.  Message carries the 1-based line number."""
 
 
-class ValidationError(ValueError):
-    """Well-formed row with out-of-contract values."""
-
-
-class BuildError(ValueError):
+class BuildError(InputError):
     """Referential-integrity failure while joining annotation sources."""
 
 
-class ConfigError(ValueError):
-    """Bad synthesis parameters."""
+class ConfigError(InputError):
+    """Bad run config, flag or synthesis parameters."""
+
+
+def read_input(path, parser, mode="r"):
+    """``parser`` applied to the open file at ``path``.  A ParseError, a CSV
+    error or text that cannot be decoded is raised as a ParseError that
+    names ``path``."""
+    with open(path, mode) as f:
+        try:
+            return parser(f)
+        except (ParseError, csv.Error, UnicodeDecodeError) as e:
+            raise ParseError(f"{path}: {e}") from None
+
+
+def read_json(f):
+    """The JSON document in the open file ``f``; a ParseError if it is not JSON."""
+    try:
+        return json.load(f)
+    except json.JSONDecodeError as e:
+        raise ParseError(f"not JSON ({e.msg})") from None
 
 
 # ---------------------------------------------------------------------------
@@ -462,6 +479,16 @@ def synth_class_id(name):
     return f"/syn/{name}"
 
 
+def check_synth_args(n_images, grid, hidden_rate):
+    """Refuse the `synth_corpus` arguments it cannot draw a corpus from."""
+    if grid < 2:
+        raise ConfigError("grid must be at least 2x2")
+    if not (0.0 <= hidden_rate <= 1.0):
+        raise ConfigError("hidden_rate must be in [0,1]")
+    if n_images < 1:
+        raise ConfigError("n_images must be positive")
+
+
 def synth_corpus(seed, n_images, object_vocab=None, grid=4, hidden_rate=0.0, cell=8):
     """Deterministic synthetic corpus of glyph-grid images.
 
@@ -475,12 +502,7 @@ def synth_corpus(seed, n_images, object_vocab=None, grid=4, hidden_rate=0.0, cel
         object_vocab = default_object_vocab()
     if len(object_vocab) < 4:
         raise ConfigError("object_vocab needs at least 4 entries")
-    if grid < 2:
-        raise ConfigError("grid must be at least 2x2")
-    if not (0.0 <= hidden_rate <= 1.0):
-        raise ConfigError("hidden_rate must be in [0,1]")
-    if n_images < 1:
-        raise ConfigError("n_images must be positive")
+    check_synth_args(n_images, grid, hidden_rate)
 
     names = sorted(object_vocab)
     # cap placements so two absent objects always remain for negatives
@@ -593,51 +615,56 @@ def _read_pixels(fp):
     if len(header) != 12:
         raise ParseError("truncated pixel file header")
     h, w, c = (int(v) for v in np.frombuffer(header, dtype="<u4"))
-    data = np.frombuffer(fp.read(h * w * c * 4), dtype="<f4")
-    if data.size != h * w * c:
-        raise ParseError("truncated pixel data")
+    blob = fp.read()
+    if len(blob) != h * w * c * 4:
+        raise ParseError(f"pixel data of {len(blob)} bytes, header says {h}x{w}x{c} float32")
+    data = np.frombuffer(blob, dtype="<f4")
     return data.reshape(h, w, c).copy()
 
 
-def load_corpus(path):
-    """Read a corpus directory back.  Returns (corpus, lexicon_or_None)."""
-    with open(os.path.join(path, "manifest.json")) as f:
-        manifest = json.load(f)
-    if manifest.get("format_version") != CORPUS_FORMAT_VERSION:
-        raise ParseError(
-            f"corpus format version {manifest.get('format_version')!r}, "
-            f"expected {CORPUS_FORMAT_VERSION!r}"
-        )
+def _read_hidden_positives(f):
+    hidden = read_json(f)
+    if not (isinstance(hidden, dict)
+            and all(isinstance(v, list) and all(isinstance(c, str) for c in v)
+                    for v in hidden.values())):
+        raise ParseError("expected an object of image id -> list of class ids")
+    return {k: set(v) for k, v in hidden.items()}
 
-    with open(os.path.join(path, "class_descriptions.csv")) as f:
-        classes = parse_class_descriptions(f)
-    with open(os.path.join(path, "image_labels.csv")) as f:
-        labels = parse_image_labels(f)
-    with open(os.path.join(path, "captions.jsonl")) as f:
-        captions = parse_localized_narratives(f)
+
+def load_corpus(path):
+    """Read a corpus directory back.  Returns (corpus, lexicon_or_None).  A
+    malformed file is a ParseError that names it."""
+    def file(name):
+        return os.path.join(path, name)
+
+    manifest = read_input(file("manifest.json"), read_json)
+    if not (isinstance(manifest, dict) and isinstance(manifest.get("meta", {}), dict)):
+        raise ParseError(f"{file('manifest.json')}: not a corpus manifest")
+    if manifest.get("format_version") != CORPUS_FORMAT_VERSION:
+        raise ParseError(f"{file('manifest.json')}: corpus format version "
+                         f"{manifest.get('format_version')!r}, expected {CORPUS_FORMAT_VERSION!r}")
+
+    classes = read_input(file("class_descriptions.csv"), parse_class_descriptions)
+    labels = read_input(file("image_labels.csv"), parse_image_labels)
+    captions = read_input(file("captions.jsonl"), parse_localized_narratives)
 
     hidden = {}
-    hp_path = os.path.join(path, "hidden_positives.json")
-    if os.path.exists(hp_path):
-        with open(hp_path) as f:
-            hidden = {k: set(v) for k, v in json.load(f).items()}
+    if os.path.exists(file("hidden_positives.json")):
+        hidden = read_input(file("hidden_positives.json"), _read_hidden_positives)
 
     images = []
-    pixel_dir = os.path.join(path, "pixels")
+    pixel_dir = file("pixels")
     if os.path.isdir(pixel_dir):
         for fname in sorted(os.listdir(pixel_dir)):
             if not fname.endswith(".f32"):
                 continue
             image_id = fname[: -len(".f32")]
-            with open(os.path.join(pixel_dir, fname), "rb") as f:
-                pixels = _read_pixels(f)
+            pixels = read_input(os.path.join(pixel_dir, fname), _read_pixels, "rb")
             images.append(ImageRecord(image_id, pixels))
 
     lexicon = None
-    lex_path = os.path.join(path, "lexicon.tsv")
-    if os.path.exists(lex_path):
-        with open(lex_path) as f:
-            lexicon = build_lexicon(f)
+    if os.path.exists(file("lexicon.tsv")):
+        lexicon = read_input(file("lexicon.tsv"), build_lexicon)
 
     corpus = build_corpus(
         classes,

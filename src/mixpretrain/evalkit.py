@@ -277,11 +277,16 @@ def write_predictions(path, ids, predictions):
             f.write(json.dumps({"id": i, "prediction": p}) + "\n")
 
 
+_STRING_FIELDS = ("id", "prediction", "kind")
+_LIST_FIELDS = ("answers", "hidden")  # lists of strings
+
+
 def _jsonl_rows(path, keys):
     """Yield (line number, object) for each non-blank line of a JSONL file.
-    A line that is not a JSON object holding every one of ``keys`` raises
-    ParseError naming the path and line."""
-    with open(path) as f:
+    A line that is not a JSON object holding every one of ``keys``, or that
+    holds a field of a predictions or ground-truth line with a value of
+    another type, raises ParseError naming the path and line."""
+    with open(path, "rb") as f:
         for n, line in enumerate(f, 1):
             if not line.strip():
                 continue
@@ -289,16 +294,30 @@ def _jsonl_rows(path, keys):
                 obj = json.loads(line)
             except json.JSONDecodeError as e:
                 raise ParseError(f"{path}:{n}: not JSON ({e.msg})") from None
+            except UnicodeDecodeError:
+                raise ParseError(f"{path}:{n}: not UTF-8 text") from None
             if not isinstance(obj, dict):
                 raise ParseError(f"{path}:{n}: not a JSON object")
             missing = [k for k in keys if k not in obj]
             if missing:
                 raise ParseError(f"{path}:{n}: missing {', '.join(missing)}")
+            for key in _STRING_FIELDS:
+                if key in obj and not isinstance(obj[key], str):
+                    raise ParseError(f"{path}:{n}: {key} is not a string")
+            for key in _LIST_FIELDS:
+                if key in obj and not (isinstance(obj[key], list)
+                                       and all(isinstance(v, str) for v in obj[key])):
+                    raise ParseError(f"{path}:{n}: {key} is not a list of strings")
             yield n, obj
 
 
 def read_predictions(path):
-    return {obj["id"]: obj["prediction"] for _, obj in _jsonl_rows(path, ("id", "prediction"))}
+    preds = {}
+    for n, obj in _jsonl_rows(path, ("id", "prediction")):
+        if obj["id"] in preds:
+            raise ParseError(f"{path}:{n}: repeated id {obj['id']!r}")
+        preds[obj["id"]] = obj["prediction"]
+    return preds
 
 
 def write_ground_truth(path, items):
@@ -311,27 +330,31 @@ def write_ground_truth(path, items):
             f.write(json.dumps(rec) + "\n")
 
 
-def read_ground_truth(path):
-    rows = []
+def _ground_truth_rows(path):
+    """Yield (line number, (id, answers, kind, hidden names)) per row."""
     for n, obj in _jsonl_rows(path, ("id", "answers")):
-        if not isinstance(obj["answers"], list):
-            raise ParseError(f"{path}:{n}: answers is not a list")
-        rows.append((obj["id"], obj["answers"], obj.get("kind", "unknown"),
-                     tuple(obj.get("hidden", ()))))
-    return rows
+        if not obj["answers"]:
+            raise ParseError(f"{path}:{n}: answers is empty")
+        yield n, (obj["id"], obj["answers"], obj.get("kind", "unknown"),
+                  tuple(obj.get("hidden", ())))
+
+
+def read_ground_truth(path):
+    return [row for _, row in _ground_truth_rows(path)]
 
 
 def score_files(pred_path, gt_path):
-    """Offline scorer: predictions JSONL x ground-truth JSONL -> EvalReport."""
+    """Offline scorer: predictions JSONL x ground-truth JSONL -> EvalReport.
+    Every ground-truth row needs a prediction."""
     preds = read_predictions(pred_path)
     items = []
-    for gid, answers, kind, hidden in read_ground_truth(gt_path):
+    for n, (gid, answers, kind, hidden) in _ground_truth_rows(gt_path):
         if gid not in preds:
-            raise ValueError(f"missing prediction for id {gid!r}")
+            raise ParseError(f"{gt_path}:{n}: no prediction for id {gid!r} in {pred_path}")
         items.append(EvalItem(
             example_id=gid, prediction=preds[gid], ground_truths=answers,
             kind=kind, hidden_names=hidden,
         ))
     if not items:
-        raise ValueError("no ground-truth rows")
+        raise ParseError(f"{gt_path}: no ground-truth rows")
     return score_items(items)

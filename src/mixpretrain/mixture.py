@@ -14,8 +14,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import InputError
 
-class ScheduleError(ValueError):
+
+class ScheduleError(InputError):
     pass
 
 

@@ -21,8 +21,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import atomic_write
+from . import InputError, atomic_write
 from . import nnkernel as nk
+from .corpus import ParseError, read_input, read_json
 from .mixture import make_batch
 from .nnkernel import (
     AdamState,
@@ -49,7 +50,7 @@ class TrainingError(RuntimeError):
     pass
 
 
-class CheckpointError(ValueError):
+class CheckpointError(InputError):
     pass
 
 
@@ -73,6 +74,9 @@ def sentinel(k):
     return f"<extra_{k}>"
 
 
+_SPECIALS = [PAD, EOS, UNK] + [sentinel(k) for k in range(N_SENTINELS)]
+
+
 @dataclass
 class Vocab:
     """Word-level token table.  pad=0, eos=1, unk=2, sentinels 3..18."""
@@ -81,8 +85,6 @@ class Vocab:
 
     def __post_init__(self):
         self.token_to_id = {t: i for i, t in enumerate(self.id_to_token)}
-        if len(self.token_to_id) != len(self.id_to_token):
-            raise ValueError("vocab tokens not unique")
 
     pad_id = 0
     eos_id = 1
@@ -115,8 +117,18 @@ class Vocab:
 
     @classmethod
     def load(cls, path):
-        with open(path) as f:
-            return cls(json.load(f))
+        """The vocab saved at ``path``; a ParseError naming it unless the file
+        is a JSON list of distinct strings that starts with the special
+        tokens."""
+        tokens = read_input(path, read_json)
+        if not (isinstance(tokens, list) and all(isinstance(t, str) for t in tokens)):
+            raise ParseError(f"{path}: not a JSON list of strings")
+        if tokens[:MIN_VOCAB_SIZE] != _SPECIALS:
+            raise ParseError(f"{path}: does not start with the {MIN_VOCAB_SIZE} special tokens")
+        vocab = cls(tokens)
+        if len(vocab.token_to_id) != len(tokens):
+            raise ParseError(f"{path}: a token is repeated")
+        return vocab
 
 
 def build_vocab(examples):
@@ -133,15 +145,14 @@ def build_vocab(examples):
         counts.update(ex.target.split())
     if n == 0:
         raise ValueError("build_vocab: empty example stream")
-    specials = [PAD, EOS, UNK] + [sentinel(k) for k in range(N_SENTINELS)]
     for w in ("yes", "no"):
         if w not in counts:
             counts[w] = 0
     words = sorted(
-        (w for w in counts if w not in specials),
+        (w for w in counts if w not in _SPECIALS),
         key=lambda w: (-counts[w], w),
     )
-    return Vocab(specials + words)
+    return Vocab(_SPECIALS + words)
 
 
 # ---------------------------------------------------------------------------
@@ -416,10 +427,12 @@ class Model:
 
 def train(model, schedule, datasets, vocab, opt, images=None, start_step=0,
           metrics_path=None, checkpoint_path=None, checkpoint_every=0,
-          vocab_fingerprint=None, corpus_fingerprint=None):
+          vocab_fingerprint=None, corpus_fingerprint=None, logged=()):
     """Run schedule entries [start_step:] in order.  Returns metrics history:
     per step its loss, the global gradient norm and the number of truncated
-    sequences in its batch.
+    sequences in its batch.  The file at ``metrics_path`` is rewritten to
+    hold the records ``logged`` of earlier steps (see `read_metrics`), then
+    one line per step this call trains.
 
     ``datasets`` maps component name -> list of TaskExample; ``images`` maps
     image_id -> pixel array (None for text-only models is unsupported here:
@@ -429,8 +442,10 @@ def train(model, schedule, datasets, vocab, opt, images=None, start_step=0,
     """
     limits = (model.cfg.max_prompt, model.cfg.max_target)
     history = []
-    mfile = _open_metrics(metrics_path, start_step) if metrics_path else None
+    mfile = open(metrics_path, "w") if metrics_path else None
     try:
+        if mfile:
+            mfile.writelines(json.dumps(rec) + "\n" for rec in logged)
         for entry in schedule:
             if entry.step < start_step:
                 continue
@@ -462,18 +477,29 @@ def train(model, schedule, datasets, vocab, opt, images=None, start_step=0,
     return history
 
 
-def _open_metrics(path, start_step):
-    """Open the metrics log for writing steps from ``start_step`` on.  A
-    resumed run keeps only the complete lines of earlier steps, so steps
-    logged after the checkpoint it resumes from are not logged twice."""
+def read_metrics(path, before_step):
+    """The records of the metrics log at ``path`` for steps before
+    ``before_step``, in file order, so that a resumed run does not log a
+    step twice; none if there is no log.  A partial last line, left by a
+    killed run, is dropped.  A complete line that is not a step record is a
+    ParseError naming ``path`` and the line."""
+    if not os.path.exists(path):
+        return []
     kept = []
-    if start_step and os.path.exists(path):
-        with open(path) as f:
-            kept = [line for line in f
-                    if line.endswith("\n") and json.loads(line)["step"] < start_step]
-    out = open(path, "w")
-    out.writelines(kept)
-    return out
+    with open(path, "rb") as f:
+        for n, line in enumerate(f, 1):
+            if not line.endswith(b"\n"):
+                break
+            try:
+                rec = json.loads(line)
+                ok = isinstance(rec["step"], int) and isinstance(rec["loss"], (int, float))
+            except (ValueError, TypeError, KeyError):
+                ok = False
+            if not ok:
+                raise ParseError(f"{path}:{n}: not a step record")
+            if rec["step"] < before_step:
+                kept.append(rec)
+    return kept
 
 
 # ---------------------------------------------------------------------------
@@ -534,54 +560,82 @@ def save_checkpoint(state, path):
 
 
 def load_checkpoint(path):
+    """The checkpoint at ``path``.  The payload digest covers the arrays
+    only, so every header field is checked too: a file that is not a whole
+    checkpoint is an IntegrityError naming ``path``."""
     with open(path, "rb") as f:
         blob = f.read()
     if blob[:4] != CKPT_MAGIC:
         raise IntegrityError(f"bad magic in {path}")
-    (hlen,) = struct.unpack("<I", blob[4:8])
     try:
+        (hlen,) = struct.unpack("<I", blob[4:8])
         header = json.loads(blob[8 : 8 + hlen])
-    except (ValueError, UnicodeDecodeError):
-        raise IntegrityError(f"unreadable header in {path}") from None
-    if header.get("version") != CKPT_VERSION:
-        raise VersionError(f"checkpoint version {header.get('version')!r}, expected {CKPT_VERSION!r}")
+    except (struct.error, ValueError):
+        header = None
+    if not isinstance(header, dict):
+        raise IntegrityError(f"unreadable header in {path}")
+    version = header.get("version")
+    if version != CKPT_VERSION:
+        raise VersionError(f"checkpoint version {version!r} in {path}, expected {CKPT_VERSION!r}")
     payload = blob[8 + hlen :]
-    if hashlib.sha256(payload).hexdigest() != header["payload_sha256"]:
+    if hashlib.sha256(payload).hexdigest() != header.get("payload_sha256"):
         raise IntegrityError(f"payload digest mismatch in {path}")
-    arrays = {}
-    off = 0
-    for spec in header["arrays"]:
-        n = int(np.prod(spec["shape"], dtype=np.int64)) if spec["shape"] else 1
-        size = n * 4
-        arr = np.frombuffer(payload[off : off + size], dtype="<f4").reshape(spec["shape"]).copy()
-        arrays[spec["name"]] = arr
+    try:
+        return _state_from_header(header, payload)
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as e:
+        raise IntegrityError(f"bad header in {path}: {type(e).__name__}: {e}") from None
+
+
+def _state_from_header(header, payload):
+    sizes = [4 * int(np.prod(spec["shape"], dtype=np.int64)) for spec in header["arrays"]]
+    if min(sizes, default=0) < 0 or sum(sizes) != len(payload):
+        raise ValueError("array shapes do not match the payload")
+    arrays, off = {}, 0
+    for spec, size in zip(header["arrays"], sizes):
+        arrays[spec["name"]] = np.frombuffer(
+            payload[off : off + size], dtype="<f4").reshape(spec["shape"]).copy()
         off += size
+    o = header["optimizer"]
     return CheckpointState(
         config=ModelConfig.from_dict(header["config"]),
         arrays=arrays,
-        opt=header["optimizer"],
-        step=header["step"],
+        opt={"lr": float(o["lr"]), "beta1": float(o["beta1"]), "beta2": float(o["beta2"]),
+             "eps": float(o["eps"]), "step": int(o["step"])},
+        step=int(header["step"]),
         vocab_fingerprint=header["vocab_fingerprint"],
         corpus_fingerprint=header["corpus_fingerprint"],
     )
 
 
 def restore_model(state):
-    """Model + AdamState rebuilt from a loaded checkpoint."""
+    """Model + AdamState rebuilt from a loaded checkpoint.  Each array must be
+    a parameter of the model or one of its two Adam moments, in the
+    parameter's shape; a parameter has both moments or none."""
     model = Model(state.config, seed=0)
+    known, with_moments = set(), []
     for name, p in model.params.items():
-        if name not in state.arrays:
-            raise IntegrityError(f"checkpoint missing array {name}")
-        if tuple(state.arrays[name].shape) != p.data.shape:
-            raise IntegrityError(f"shape mismatch for {name}")
+        keys = (name, f"adam.m.{name}", f"adam.v.{name}")
+        known.update(keys)
+        held = [k for k in keys if k in state.arrays]
+        if name not in held or len(held) == 2:
+            missing = next(k for k in keys if k not in state.arrays)
+            raise IntegrityError(f"checkpoint missing array {missing}")
+        for k in held:
+            if state.arrays[k].shape != p.data.shape:
+                raise IntegrityError(f"shape mismatch for {k}")
+        if len(held) == 3:
+            with_moments.append(name)
+    extra = sorted(set(state.arrays) - known)
+    if extra:
+        raise IntegrityError(f"checkpoint array {extra[0]} is not in the model")
+    # parameters first, then moments, so the parameters lie together in memory
+    for name, p in model.params.items():
         p.data = state.arrays[name].copy()
     opt = AdamState(
         lr=state.opt["lr"], beta1=state.opt["beta1"], beta2=state.opt["beta2"],
         eps=state.opt["eps"], step=state.opt["step"],
     )
-    for name in model.params:
-        mkey, vkey = f"adam.m.{name}", f"adam.v.{name}"
-        if mkey in state.arrays:
-            opt.m[name] = state.arrays[mkey].copy()
-            opt.v[name] = state.arrays[vkey].copy()
+    for name in with_moments:
+        opt.m[name] = state.arrays[f"adam.m.{name}"].copy()
+        opt.v[name] = state.arrays[f"adam.v.{name}"].copy()
     return model, opt

@@ -26,6 +26,7 @@ from .model import (
     Model,
     build_vocab,
     load_checkpoint,
+    read_metrics,
     restore_model,
     train,
 )
@@ -36,6 +37,7 @@ EVAL_REPORT = "eval.json"
 PREDICTIONS = "predictions.jsonl"
 RUN_REPORT = "run.json"
 CONFIG_ECHO = "config.ini"
+METRICS = "metrics.jsonl"
 
 
 def split_image_ids(ids, fraction, seed):
@@ -58,6 +60,12 @@ def _load_or_synth_corpus(cfg):
             # ingest stores annotations only; reject before any synthesis runs
             raise ConfigError(f"corpus {c['dir']}: {missing} of {len(corpus.images)} images "
                               "have no pixels, and training and evaluation need them")
+        expected = (cfg.image_size, cfg.image_size, 3)
+        for rec in corpus.images.values():
+            if rec.pixels.shape != expected:
+                raise ConfigError(f"corpus {c['dir']}: image {rec.image_id} has pixels "
+                                  f"{rec.pixels.shape}, but [corpus] grid*cell makes the model "
+                                  f"expect {expected}")
         if lexicon is None:
             lexicon = load_bundled_lexicon()
         return corpus, lexicon
@@ -97,21 +105,6 @@ def run_complete(run_dir, config_text):
         return f.read() == config_text
 
 
-def _last_logged_loss(run_dir):
-    # resume of an already-finished run trains zero steps; recover the loss
-    # from the metrics log instead of clobbering run.json with null
-    path = os.path.join(run_dir, "metrics.jsonl")
-    last = None
-    try:
-        with open(path) as f:
-            for line in f:
-                if line.strip():
-                    last = line
-    except OSError:
-        return None
-    return json.loads(last)["loss"] if last else None
-
-
 def run_training(cfg: RunConfig, resume=False, log=None):
     """Execute one configured run.  Returns a summary dict (also written to
     run.json).  With ``resume``, continues from the run's checkpoint."""
@@ -133,8 +126,7 @@ def run_training(cfg: RunConfig, resume=False, log=None):
     kinds = [TaskKind(k) for k in cfg.kinds]
     scfg = cfg.synth_config(cfg.tasks["policy"])
     ckpt_path = os.path.join(run_dir, CHECKPOINT)
-    state = None
-    # build and check first, so a refused or failed set-up leaves the run
+    # build, read and check first, so a refused or failed set-up leaves the run
     # directory as it was; staging creates it, and tasks/ ends up holding
     # only this run's kinds
     with staged_dir(os.path.join(run_dir, "tasks")) as staging:
@@ -146,9 +138,13 @@ def run_training(cfg: RunConfig, resume=False, log=None):
         stage_done("tasks")
 
         vocab = build_vocab(all_train)
+        restored, start_step, logged = None, 0, []
         if resume and os.path.exists(ckpt_path):
             state = load_checkpoint(ckpt_path)
             check_checkpoint(state, cfg, corpus, vocab)
+            restored = restore_model(state)
+            start_step = state.step
+            logged = read_metrics(os.path.join(run_dir, METRICS), start_step)
 
         # results of an earlier run must not pass for results of this config
         for name in (EVAL_REPORT, PREDICTIONS, RUN_REPORT):
@@ -160,10 +156,8 @@ def run_training(cfg: RunConfig, resume=False, log=None):
     say(f"vocab: {len(vocab)} tokens")
     stage_done("vocab")
 
-    start_step = 0
-    if state is not None:
-        model, opt = restore_model(state)
-        start_step = state.step
+    if restored:
+        model, opt = restored
         say(f"resumed at step {start_step}")
     else:
         model = Model(cfg.model_config(len(vocab)), seed=cfg.seed)
@@ -175,11 +169,12 @@ def run_training(cfg: RunConfig, resume=False, log=None):
     images = {i: corpus.images[i].pixels for i in train_ids}
     history = train(
         model, schedule, datasets, vocab, opt, images=images, start_step=start_step,
-        metrics_path=os.path.join(run_dir, "metrics.jsonl"),
+        metrics_path=os.path.join(run_dir, METRICS), logged=logged,
         checkpoint_path=ckpt_path, checkpoint_every=cfg.train["checkpoint_every"],
         vocab_fingerprint=vocab.fingerprint(), corpus_fingerprint=corpus.fingerprint(),
     )
-    final_loss = history[-1]["loss"] if history else _last_logged_loss(run_dir)
+    last = history or logged  # a resume of a finished run trains no step
+    final_loss = last[-1]["loss"] if last else None
     say(f"trained {len(history)} steps, final loss {final_loss}")
     stage_done("train")
 

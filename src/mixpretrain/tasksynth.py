@@ -24,6 +24,8 @@ import random
 from dataclasses import dataclass, field
 from enum import Enum
 
+from . import InputError
+
 
 class TaskKind(str, Enum):
     CAPTION = "caption"
@@ -52,7 +54,7 @@ class NoNounFound(ValueError):
     """Caption contains no lexicon noun to replace."""
 
 
-class SynthesisError(ValueError):
+class SynthesisError(InputError):
     """A requested task kind cannot be generated from this corpus."""
 
     def __init__(self, kind, message=""):

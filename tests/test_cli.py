@@ -1,12 +1,17 @@
+import importlib
+import inspect
 import json
 import math
 import os
+import pkgutil
 import shutil
+import struct
 
 import numpy as np
 import pytest
 
-from mixpretrain import ablate
+import mixpretrain
+from mixpretrain import InputError, ablate
 from mixpretrain.ablate import (
     GRIDS,
     TABLE1,
@@ -362,7 +367,12 @@ def test_resume_refuses_checkpoint_of_another_config(micro_run, tmp_path, capsys
     ("[train]\n", "[mixture]\nweights = 0 1 1\n[train]\n", [], "[mixture]"),
     ("", "", ["--seed", "-1"], "[run]"),
     ("[tasks]\n", "[tasks]\nyes_no_balance = 1.5\n", [], "[tasks]"),
-], ids=["n_heads", "zero_weight", "negative_seed", "yes_no_balance"])
+    ("kinds = caption oa_exists oa_list", "kinds = caption caption", [], "[tasks]"),
+    ("kinds = caption oa_exists oa_list", "kinds =", [], "[tasks]"),
+    ("grid = 2", "grid = 1", [], "[corpus]"),
+    ("[corpus]\n", "[corpus]\nhidden_rate = 1.5\n", [], "[corpus]"),
+], ids=["n_heads", "zero_weight", "negative_seed", "yes_no_balance", "repeated_kind",
+        "no_kinds", "grid_1", "hidden_rate"])
 def test_config_refused_before_anything_runs(micro_run, tmp_path, capsys, monkeypatch,
                                              old, new, argv, section):
     def no_synthesis(*args, **kwargs):
@@ -415,7 +425,7 @@ def test_failed_setup_leaves_run_directory_unchanged(micro_run, tmp_path, capsys
     before = _dir_bytes(out)
 
     def broken_vocab(examples):
-        raise ValueError("simulated set-up failure after synthesis")
+        raise ConfigError("simulated set-up failure after synthesis")
 
     monkeypatch.setattr("mixpretrain.runner.build_vocab", broken_vocab)
     assert main(["train", "--config", str(ini)]) == 2
@@ -445,6 +455,161 @@ def test_eval_refuses_tampered_vocab(micro_run, tmp_path, capsys):
     assert main(["eval", "--run", out]) == 2
     err = capsys.readouterr().err
     assert "checkpoint does not match this run: vocab differ" in err
+
+
+def _edit_checkpoint_header(edit):
+    """A tampering of a checkpoint: ``edit`` changes its JSON header, and
+    the payload and its digest stay."""
+    def tamper(path):
+        with open(path, "rb") as f:
+            blob = f.read()
+        (hlen,) = struct.unpack("<I", blob[4:8])
+        header = json.loads(blob[8:8 + hlen])
+        edit(header)
+        hb = json.dumps(header).encode()
+        with open(path, "wb") as f:
+            f.write(blob[:4] + struct.pack("<I", len(hb)) + hb + blob[8 + hlen:])
+    return tamper
+
+
+def _write(content):
+    def tamper(path):
+        with open(path, "wb") as f:
+            f.write(content)
+    return tamper
+
+
+def _repeat_a_vocab_token(path):
+    with open(path) as f:
+        tokens = json.load(f)
+    _write(json.dumps(tokens + tokens[-1:]).encode())(path)
+
+
+@pytest.mark.parametrize("name, tamper", [
+    ("vocab.json", _write(b"[not json")),
+    ("vocab.json", _write(b'{"a": 1}')),
+    ("vocab.json", _write(b'["<pad>", "<eos>", "<unk>", "dog"]')),
+    ("vocab.json", _repeat_a_vocab_token),
+    ("checkpoint.mpt", _write(b"MPT1\x05")),
+    ("checkpoint.mpt", _edit_checkpoint_header(lambda h: h.pop("payload_sha256"))),
+    ("checkpoint.mpt", _edit_checkpoint_header(lambda h: h.pop("optimizer"))),
+    ("checkpoint.mpt", _edit_checkpoint_header(lambda h: h["config"].update(n_layers=2))),
+    ("checkpoint.mpt", _edit_checkpoint_header(lambda h: h["config"].update(n_heads=3))),
+    ("checkpoint.mpt", _edit_checkpoint_header(lambda h: h["config"].update(n_heads=0))),
+    ("checkpoint.mpt", _edit_checkpoint_header(lambda h: h["arrays"][0].update(shape=[999, 999]))),
+    ("checkpoint.mpt", _edit_checkpoint_header(lambda h: h["arrays"][0].update(shape="x"))),
+], ids=["vocab-not-json", "vocab-object", "vocab-no-specials", "vocab-repeated",
+        "ckpt-short", "ckpt-no-digest", "ckpt-no-optimizer",
+        "ckpt-unknown-config-key", "ckpt-n_heads-3", "ckpt-n_heads-0", "ckpt-shape",
+        "ckpt-shape-string"])
+def test_eval_refuses_a_corrupt_run_file(micro_run, tmp_path, capsys, name, tamper):
+    out, _ = _copy_of_run(micro_run, tmp_path)
+    path = os.path.join(out, name)
+    tamper(path)
+    before = _dir_bytes(out)
+    assert main(["eval", "--run", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and path in err and "Traceback" not in err
+    assert _dir_bytes(out) == before
+
+
+def test_resume_refuses_a_corrupt_metrics_line(micro_run, tmp_path, capsys):
+    out, ini = _copy_of_run(micro_run, tmp_path)
+    path = os.path.join(out, "metrics.jsonl")
+    with open(path) as f:
+        rows = f.readlines()
+    rows[4] = '{"step": 4, "loss"\n'
+    with open(path, "w") as f:
+        f.writelines(rows)
+    before = _dir_bytes(out)
+    assert main(["train", "--config", str(ini), "--resume"]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {path}:5: not a step record")
+    assert _dir_bytes(out) == before
+
+
+def test_resume_refuses_a_checkpoint_without_an_array_of_the_model(micro_run, tmp_path, capsys):
+    out, ini = _copy_of_run(micro_run, tmp_path)
+    _edit_checkpoint_header(lambda h: h["arrays"][0].update(name="renamed"))(
+        os.path.join(out, "checkpoint.mpt"))
+    before = _dir_bytes(out)
+    assert main(["train", "--config", str(ini), "--resume"]) == 2
+    assert capsys.readouterr().err.startswith("error: checkpoint missing array ")
+    assert _dir_bytes(out) == before
+
+
+def test_resume_drops_a_partial_last_metrics_line(micro_run, tmp_path):
+    out, ini = _copy_of_run(micro_run, tmp_path)
+    path = os.path.join(out, "metrics.jsonl")
+    with open(path, "rb") as f:
+        logged = f.read()
+    with open(os.path.join(out, "run.json")) as f:
+        final_loss = json.load(f)["final_loss"]
+    with open(path, "a") as f:
+        f.write('{"step": 25, "lo')
+    assert main(["train", "--config", str(ini), "--resume"]) == 0
+    with open(path, "rb") as f:
+        assert f.read() == logged
+    with open(os.path.join(out, "run.json")) as f:  # no step trained: the loss is the logged one
+        assert json.load(f)["final_loss"] == final_loss
+
+
+def test_train_refuses_a_corpus_of_another_image_size(micro_run, tmp_path, capsys):
+    corpus_dir = str(tmp_path / "corpus16")
+    save_corpus(synth_corpus(seed=0, n_images=40, grid=2, cell=8), corpus_dir)
+    out, ini = _copy_of_run(micro_run, tmp_path, "[corpus]\n",
+                            f"[corpus]\nsource = dir\ndir = {corpus_dir}\n")
+    shutil.copy(ini, os.path.join(out, "config.ini"))  # the config eval reads
+    before = _dir_bytes(out)
+    for argv in (["train", "--config", str(ini)], ["eval", "--run", out]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: corpus {corpus_dir}: ")
+        assert "(16, 16, 3)" in err and "(8, 8, 3)" in err and "Traceback" not in err
+        assert _dir_bytes(out) == before
+
+
+# ---------------------------------------------------------------------------
+# the fault contract: InputError and OSError exit 2, runtime faults 3, and
+# anything else is a bug that keeps its traceback
+
+RUNTIME = (mixpretrain.model.TrainingError, mixpretrain.nnkernel.OptimizerError)
+INTERNAL = (mixpretrain.nnkernel.ShapeError, mixpretrain.tasksynth.NoNounFound)
+
+
+def test_every_exception_class_is_input_runtime_or_internal():
+    classes = set()
+    for info in pkgutil.iter_modules(mixpretrain.__path__):
+        module = importlib.import_module(f"mixpretrain.{info.name}")
+        classes |= {c for _, c in inspect.getmembers(module, inspect.isclass)
+                    if issubclass(c, BaseException) and c.__module__.startswith("mixpretrain")}
+    assert mixpretrain.corpus.ConfigError in classes and len(classes) >= 13
+    for cls in classes:
+        kinds = [issubclass(cls, InputError), issubclass(cls, RUNTIME), cls in INTERNAL]
+        assert kinds.count(True) == 1, cls
+
+
+def test_an_internal_error_keeps_its_traceback(micro_run, tmp_path, monkeypatch):
+    out, ini = _copy_of_run(micro_run, tmp_path)
+
+    def broken_train(*args, **kwargs):
+        raise ValueError("simulated internal bug")
+
+    monkeypatch.setattr("mixpretrain.runner.train", broken_train)
+    with pytest.raises(ValueError, match="simulated internal bug"):
+        main(["train", "--config", str(ini)])
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["gradcheck", "--seed", "-1"], "argument --seed: must be >= 0, got -1"),
+    (["synth", "--corpus", "c", "--count", "-1"], "argument --count: must be >= 1, got -1"),
+    (["ablate", "--grid", "paper-table1", "--seeds", "0"], "argument --seeds: must be >= 1, got 0"),
+    (["ablate", "--grid", "paper-table1", "--jobs", "0"], "argument --jobs: must be >= 1, got 0"),
+], ids=["gradcheck-seed", "synth-count", "ablate-seeds", "ablate-jobs"])
+def test_cli_count_flags_have_floors(capsys, argv, message):
+    with pytest.raises(SystemExit) as e:
+        main(argv)
+    assert e.value.code == 2
+    assert message in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -607,8 +772,15 @@ def _truth_file(tmp_path, run_dir):
     ("truth", '{"answers": ["x"]}', "missing id"),
     ("truth", '{"id": "b", "kind": "caption"}', "missing answers"),
     ("truth", '{"id": "b", "answers": "x"}', "answers is not a list"),
+    ("predictions", '{"id": "b", "prediction": 3}', "prediction is not a string"),
+    ("truth", '{"id": "b", "answers": []}', "answers is empty"),
+    ("truth", '{"id": "b", "answers": [1]}', "answers is not a list of strings"),
+    ("truth", '{"id": "c", "answers": ["y"]}', "no prediction for id 'c'"),
+    ("predictions", '{"id": "a", "prediction": "y"}', "repeated id 'a'"),
 ], ids=["pred-array", "pred-broken-json", "pred-no-id", "pred-no-prediction",
-        "truth-string", "truth-no-id", "truth-no-answers", "truth-answers-string"])
+        "truth-string", "truth-no-id", "truth-no-answers", "truth-answers-string",
+        "pred-number", "truth-no-answer", "truth-answer-number", "truth-id-unpredicted",
+        "pred-repeated-id"])
 def test_cli_score_rejects_a_malformed_row(tmp_path, capsys, bad_file, row, problem):
     files = {"predictions": ['{"id": "a", "prediction": "x"}', '{"id": "b", "prediction": "y"}'],
              "truth": ['{"id": "a", "answers": ["x"]}', '{"id": "b", "answers": ["y"]}']}
@@ -622,6 +794,14 @@ def test_cli_score_rejects_a_malformed_row(tmp_path, capsys, bad_file, row, prob
     err = capsys.readouterr().err
     assert err.startswith(f"error: {paths[bad_file]}:2: {problem}")
     assert "Traceback" not in err
+
+
+def test_cli_score_rejects_an_empty_truth_file(tmp_path, capsys):
+    preds, truth = tmp_path / "predictions.jsonl", tmp_path / "truth.jsonl"
+    preds.write_text('{"id": "a", "prediction": "x"}\n')
+    truth.write_text("\n")
+    assert main(["score", "--predictions", str(preds), "--truth", str(truth)]) == 2
+    assert capsys.readouterr().err == f"error: {truth}: no ground-truth rows\n"
 
 
 def test_cli_train_seed_override_regenerates_echo(tmp_path):

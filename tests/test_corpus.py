@@ -401,3 +401,31 @@ def test_pixel_file_layout(tmp_path, small_corpus):
     assert (h, w, c) == small_corpus.images[image_id].pixels.shape
     data = np.frombuffer(raw[12:], dtype="<f4").reshape(h, w, c)
     assert np.array_equal(data, small_corpus.images[image_id].pixels)
+
+
+@pytest.mark.parametrize("name, text", [
+    ("manifest.json", "{not json"),
+    ("manifest.json", "[]"),
+    ("class_descriptions.csv", "only-one-column\n"),
+    ("image_labels.csv", "img,src,/c/x,0.5\n"),
+    ("captions.jsonl", "not json\n"),
+    ("hidden_positives.json", '{"img": 3}'),
+    ("lexicon.tsv", "no tab here\n"),
+], ids=["manifest-broken", "manifest-array", "classes", "labels", "captions", "hidden",
+        "lexicon"])
+def test_load_corpus_names_the_malformed_file(tmp_path, small_corpus, name, text):
+    d = tmp_path / "c"
+    C.save_corpus(small_corpus, str(d), lexicon=build_lexicon(lines("dog\tcat\n")))
+    (d / name).write_text(text)
+    with pytest.raises(ParseError) as e:
+        C.load_corpus(str(d))
+    assert str(e.value).startswith(f"{d / name}: ")
+
+
+def test_load_corpus_names_a_short_pixel_file(tmp_path, small_corpus):
+    d = tmp_path / "c"
+    C.save_corpus(small_corpus, str(d))
+    path = d / "pixels" / f"{small_corpus.image_ids()[0]}.f32"
+    path.write_bytes(path.read_bytes()[:-4])
+    with pytest.raises(ParseError, match="pixel data of"):
+        C.load_corpus(str(d))
