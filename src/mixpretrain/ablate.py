@@ -16,6 +16,7 @@ import json
 import multiprocessing
 import os
 import statistics
+import traceback
 
 from . import atomic_write, tasksynth
 from .config import derive_config
@@ -47,6 +48,8 @@ TABLE2 = [(f"{kind}_{policy}", [kind], policy)
 
 GRIDS = {"paper-table1": TABLE1, "paper-table2": TABLE2}
 
+ERROR_FILE = "error.txt"  # a failed cell's traceback, in its run directory
+
 
 def variant_config(base, name, kinds, policy, seed, out_root, eval_kinds):
     return derive_config(base, seed=seed, out=os.path.join(out_root, name, f"seed{seed}"),
@@ -73,14 +76,24 @@ def variant_metrics(report):
 
 
 def _run_one(job):
-    """Worker for one (variant, seed) cell; never raises, marks failures."""
+    """Worker for one (variant, seed) cell; never raises, marks failures.
+    A failed cell leaves its traceback in ``error.txt`` in its run
+    directory; a completed cell removes one left by an earlier attempt."""
     name, seed, cfg = job
+    error_path = os.path.join(cfg.out, ERROR_FILE)
     try:
         if not run_complete(cfg.out, cfg.source_text):
             run_training(cfg)
-        return name, seed, None, variant_metrics(load_run_report(cfg.out))
+        metrics = variant_metrics(load_run_report(cfg.out))
     except Exception as e:  # a failed cell must not sink the grid
+        with contextlib.suppress(OSError):
+            os.makedirs(cfg.out, exist_ok=True)
+            with atomic_write(error_path) as f:
+                f.write(traceback.format_exc())
         return name, seed, f"{type(e).__name__}: {e}", None
+    with contextlib.suppress(FileNotFoundError):
+        os.remove(error_path)
+    return name, seed, None, metrics
 
 
 def run_grid(grid, base, out_root, seeds=(0, 1, 2), jobs=1, eval_kinds=None, log=None):

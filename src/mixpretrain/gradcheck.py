@@ -103,16 +103,16 @@ def _scale(rng):
 
 
 def _matmul(rng):
-    # batched by batched; 3-D and 4-D rows against a weight, and against a
-    # transposed weight view
+    # batched by batched; 3-D and 4-D rows against a weight with a bias, and
+    # against a transposed weight view
     a, b, w = _leaf(rng, 2, 3, 4), _leaf(rng, 2, 4, 5), _leaf(rng, 4, 5)
-    c, e = _leaf(rng, 2, 2, 3, 4), _leaf(rng, 6, 5)
+    c, e, bias = _leaf(rng, 2, 2, 3, 4), _leaf(rng, 6, 5), _leaf(rng, 5)
 
     def make_loss():
-        batched = K.add(project(K.matmul(a, b)), project(K.matmul(a, w)))
+        batched = K.add(project(K.matmul(a, b)), project(K.matmul(a, w, bias)))
         return K.add(batched, project(K.matmul(K.matmul(c, w), K.transpose(e, (1, 0)))))
 
-    return make_loss, [a, b, w, c, e]
+    return make_loss, [a, b, w, c, e, bias]
 
 
 def _relu(rng):
@@ -122,8 +122,11 @@ def _relu(rng):
 
 
 def _softmax(rng):
+    # with an additive mask that broadcasts over rows, as a key-pad mask does
     x = _leaf(rng, 3, 7)
-    return (lambda: project(K.softmax(x))), [x]
+    mask = np.zeros((1, 7))
+    mask[0, [2, 6]] = K.MASK_NEG
+    return (lambda: K.add(project(K.softmax(x)), project(K.softmax(x, mask)))), [x]
 
 
 def _layer_norm(rng):

@@ -291,8 +291,9 @@ class Model:
         return matmul(out, self.params[f"{prefix}.wo"])
 
     def _ff(self, prefix, x):
-        h = relu(matmul(x, self.params[f"{prefix}.w1"]) + self.params[f"{prefix}.b1"])
-        return matmul(h, self.params[f"{prefix}.w2"]) + self.params[f"{prefix}.b2"]
+        p = self.params
+        h = relu(matmul(x, p[f"{prefix}.w1"], p[f"{prefix}.b1"]))
+        return matmul(h, p[f"{prefix}.w2"], p[f"{prefix}.b2"])
 
     def _ln(self, prefix, x):
         return layer_norm(x, self.params[f"{prefix}.g"], self.params[f"{prefix}.b"])
@@ -310,12 +311,13 @@ class Model:
             raise ShapeError(f"prompt length {P} > max {cfg.max_prompt}")
 
         vis = conv_patchify(Tensor(np.asarray(images, dtype=self.dtype)), self.params["patch.kernel"], cfg.patch)
-        vis = vis + reshape(embedding(self.params["embed.vis_pos"], np.arange(cfg.n_vision)), (1, cfg.n_vision, cfg.d_model))
-        vis = vis + reshape(embedding(self.params["embed.type"], np.array([0])), (1, 1, cfg.d_model))
+        # position and type rows are looked up as (1, T, d) and (1, 1, d)
+        vis = vis + embedding(self.params["embed.vis_pos"], np.arange(cfg.n_vision)[None])
+        vis = vis + embedding(self.params["embed.type"], np.array([[0]]))
 
         txt = embedding(self.params["embed.tok"], prompt_ids)
-        txt = txt + reshape(embedding(self.params["embed.txt_pos"], np.arange(P)), (1, P, cfg.d_model))
-        txt = txt + reshape(embedding(self.params["embed.type"], np.array([1])), (1, 1, cfg.d_model))
+        txt = txt + embedding(self.params["embed.txt_pos"], np.arange(P)[None])
+        txt = txt + embedding(self.params["embed.type"], np.array([[1]]))
 
         x = concat([vis, txt], axis=1)
 
@@ -346,7 +348,7 @@ class Model:
         if start + T > cfg.max_target:
             raise ShapeError(f"target length {start + T} > max {cfg.max_target}")
         x = embedding(self.params["embed.tok"], dec_ids)
-        x = x + reshape(embedding(self.params["embed.dec_pos"], np.arange(start, start + T)), (1, T, cfg.d_model))
+        x = x + embedding(self.params["embed.dec_pos"], np.arange(start, start + T)[None])
         causal = _causal_mask(T, self.dtype, start)
         for i in range(cfg.n_decoder_layers):
             cross = f"dec{i}.cross"
@@ -452,11 +454,14 @@ def train(model, schedule, datasets, vocab, opt, images=None, start_step=0,
             examples = [datasets[entry.component][i] for i in entry.example_ids]
             batch = make_batch(examples, vocab, limits, images=images)
             model.zero_grads()
-            _, loss = model.forward_batch(batch)
+            loss = model.forward_batch(batch)[1]
             value = loss.item()
             if not np.isfinite(value):
                 raise TrainingError(f"non-finite loss at step {entry.step} on task {entry.component}")
             backward(loss)
+            # the loss holds the step's whole tape: free it before the update
+            # and the next forward pass, so that one tape is alive at a time
+            del loss
             grad_norm = adam_step(model.parameters(), opt)
             rec = {"step": entry.step, "task": entry.component, "loss": value,
                    "grad_norm": grad_norm, "truncated": batch.truncated}

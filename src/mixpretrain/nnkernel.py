@@ -171,17 +171,27 @@ def scale(x, c):
     return _make(out_data, (x,), backward)
 
 
-def matmul(a, b):
-    """``a @ b``.  With a 2-D ``b`` (a weight), the leading axes of ``a`` are
-    flattened into rows, so the forward pass and both gradients are single
-    2-D GEMMs; the weight gradient needs no batched product summed away."""
+def matmul(a, b, bias=None):
+    """``a @ b``, plus ``bias`` over the last axis when given.  With a 2-D
+    ``b`` (a weight), the leading axes of ``a`` are flattened into rows, so
+    the forward pass and both gradients are single 2-D GEMMs; the weight
+    gradient needs no batched product summed away.  The bias is added in
+    place on the GEMM output and its gradient is one GEMV over the rows of
+    the output gradient, bit for bit ``add(matmul(a, b), bias)``."""
     a, b = _as_tensor(a), _as_tensor(b)
     if a.data.ndim < 2 or b.data.ndim < 2 or a.data.shape[-1] != b.data.shape[-2]:
         raise ShapeError(f"matmul: {a.data.shape} @ {b.data.shape}")
     if b.data.ndim == 2:
         d, e = b.data.shape
+        if bias is not None:
+            bias = _as_tensor(bias)
+            if bias.data.shape != (e,):
+                raise ShapeError(f"matmul: bias {bias.data.shape} for {b.data.shape} weight")
         a2 = a.data.reshape(-1, d)
-        out_data = (a2 @ b.data).reshape(a.data.shape[:-1] + (e,))
+        out2 = a2 @ b.data
+        if bias is not None:
+            out2 += bias.data
+        out_data = out2.reshape(a.data.shape[:-1] + (e,))
 
         def backward(g):
             g2 = g.reshape(-1, e)
@@ -189,8 +199,12 @@ def matmul(a, b):
                 _accum(a, (g2 @ b.data.T).reshape(a.data.shape))
             if b.requires_grad:
                 _accum(b, a2.T @ g2)
+            if bias is not None and bias.requires_grad:
+                _accum(bias, _ones(g2.shape[0], g2.dtype) @ g2)
 
-        return _make(out_data, (a, b), backward)
+        return _make(out_data, (a, b) if bias is None else (a, b, bias), backward)
+    if bias is not None:
+        raise ShapeError(f"matmul: a bias needs a 2-D weight, got {b.data.shape}")
 
     out_data = a.data @ b.data
 
@@ -302,10 +316,20 @@ def _row_sum(x):
     return (x.reshape(-1, d) @ _ones(d, x.dtype)).reshape(x.shape[:-1] + (1,))
 
 
-def softmax(x):
-    """Softmax over the last axis."""
+def softmax(x, mask=None):
+    """Softmax over the last axis of ``x + mask``.
+
+    ``mask`` is a plain additive array (such as {0, MASK_NEG}) that
+    broadcasts to ``x``'s shape; it is added into the softmax's own buffer,
+    bit for bit ``softmax(add(x, Tensor(mask)))`` with one array fewer."""
     x = _as_tensor(x)
-    out_data = x.data - _row_max(x.data)
+    if mask is None:
+        out_data = x.data - _row_max(x.data)
+    else:
+        out_data = x.data + np.asarray(mask, dtype=x.data.dtype)
+        if out_data.shape != x.data.shape:
+            raise ShapeError(f"softmax: mask broadcasts {x.data.shape} to {out_data.shape}")
+        out_data -= _row_max(out_data)
     np.exp(out_data, out=out_data)
     out_data /= _row_sum(out_data)
 
@@ -367,21 +391,23 @@ MASK_NEG = -1e9
 
 
 def attention(q, k, v, mask=None):
-    """softmax(q kᵀ / √d + mask) · v.
+    """softmax((q / √d) kᵀ + mask) · v.
 
     Composite of taped primitives, so the backward pass needs no extra code.
-    ``mask`` is a plain array of {0, MASK_NEG}; MASK_NEG underflows to exactly
-    zero attention weight, which is what makes causal masking airtight.
+    The queries are scaled rather than the scores: the array is smaller, and
+    where 1/√d is a power of two (head dim 4, 16, 64, ...) every value and
+    gradient equals the scale-on-scores form bit for bit.  ``mask`` is a
+    plain array of {0, MASK_NEG}, added inside ``softmax``; MASK_NEG
+    underflows to exactly zero attention weight, which is what makes causal
+    masking airtight.
     """
     if q.data.shape[-1] != k.data.shape[-1]:
         raise ShapeError(f"attention head dims: q {q.data.shape} vs k {k.data.shape}")
     if k.data.shape[-2] != v.data.shape[-2]:
         raise ShapeError(f"attention lengths: k {k.data.shape} vs v {v.data.shape}")
     d = q.data.shape[-1]
-    scores = scale(matmul(q, _swap_last(k)), 1.0 / math.sqrt(d))
-    if mask is not None:
-        scores = add(scores, Tensor(np.asarray(mask, dtype=q.data.dtype)))
-    return matmul(softmax(scores), v)
+    scores = matmul(scale(q, 1.0 / math.sqrt(d)), _swap_last(k))
+    return matmul(softmax(scores, mask), v)
 
 
 def _swap_last(t):

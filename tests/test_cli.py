@@ -969,6 +969,36 @@ def test_grid_failed_variant_marks_row(micro_grid, tmp_path, monkeypatch):
     assert "doomed" in text and "failed" in text
 
 
+def test_grid_failed_cell_keeps_its_traceback(micro_grid, tmp_path, monkeypatch):
+    _, base, _, _ = micro_grid
+    real = ablate.run_training
+    failures = ["once"]
+
+    def fails_once(cfg, *a, **kw):
+        if failures:
+            failures.pop()
+            raise RuntimeError("boom")
+        return real(cfg, *a, **kw)
+
+    monkeypatch.setattr(ablate, "run_training", fails_once)
+    grid = [("flaky", ["oa_exists"], "easy")]
+    out = str(tmp_path / "g")
+    error_path = os.path.join(out, "flaky", "seed0", ablate.ERROR_FILE)
+    run_grid(grid, base, out, seeds=(0,), jobs=1, eval_kinds=["oa_exists"])
+    with open(os.path.join(out, "summary.json")) as f:
+        flaky = json.load(f)["variants"]["flaky"]
+    assert flaky["status"] == "failed" and flaky["seeds"]["0"]["error"] == "RuntimeError: boom"
+    with open(error_path) as f:
+        text = f.read()
+    assert text.startswith("Traceback") and "fails_once" in text
+    assert text.rstrip().endswith("RuntimeError: boom")
+
+    # the cell completes on the next attempt and the stale traceback goes
+    summary = run_grid(grid, base, out, seeds=(0,), jobs=1, eval_kinds=["oa_exists"])
+    assert summary["variants"]["flaky"]["status"] == "ok"
+    assert not os.path.exists(error_path)
+
+
 def test_easy_hard_matrix_folding(micro_grid):
     _, _, _, summary = micro_grid
     matrix = easy_hard_matrix(summary["variants"])

@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 import os
+import weakref
 
 import numpy as np
 import pytest
@@ -285,7 +286,7 @@ def test_decode_rejects_positions_past_max_target():
 TAPE_OPS = ("add", "scale", "matmul", "relu", "embedding", "reshape", "transpose", "concat",
             "softmax", "layer_norm", "attention", "conv_patchify", "cross_entropy_masked")
 COMPOSITE_OPS = ("attention", "conv_patchify")
-TAPE_NODES_PER_STEP = 172  # two encoder and two decoder layers, as in criterion 8
+TAPE_NODES_PER_STEP = 153  # two encoder and two decoder layers, as in criterion 8
 
 
 def test_training_step_tape_contract(monkeypatch):
@@ -352,6 +353,26 @@ def test_train_history_and_metrics_file(tmp_path):
     lines = open(mpath).read().strip().splitlines()
     assert len(lines) == 12
     assert json.loads(lines[3]) == hist[3]
+
+
+def test_train_frees_each_steps_tape(monkeypatch):
+    # a step's loss and logits hold its whole tape; ``train`` must drop them
+    # before the next forward pass.  Tensor takes no weak reference, so the
+    # arrays it alone holds stand in for it.
+    corp, datasets, sched, vocab, model, images = _train_setup(4)
+    real = Model.forward_batch
+    previous, alive_at_call = [], []
+
+    def recording(self, batch):
+        alive_at_call.append([ref() is not None for ref in previous])
+        logits, loss = real(self, batch)
+        previous[:] = [weakref.ref(logits.data), weakref.ref(loss.data)]
+        return logits, loss
+
+    monkeypatch.setattr(Model, "forward_batch", recording)
+    train(model, sched, datasets, vocab, AdamState(lr=1e-3), images=images)
+    assert alive_at_call == [[]] + [[False, False]] * 3
+    assert [ref() for ref in previous] == [None, None]
 
 
 def test_train_overfits_single_example():

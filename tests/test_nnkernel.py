@@ -333,6 +333,78 @@ def test_matmul_weight_path_matches_batched_reference():
     np.testing.assert_allclose(b.grad, (np.swapaxes(a.data, 1, 2) @ g).sum(axis=0), rtol=0, atol=1e-12)
 
 
+# The fused forms must equal the compositions they replaced bit for bit in
+# float32, or a trained run's artifacts change.
+
+def _f32(rng, *shape):
+    return rng.normal(size=shape).astype(np.float32)
+
+
+def _forward_backward(build, arrays, g):
+    """Output of ``build`` over fresh float32 leaves holding ``arrays``, then
+    each leaf's gradient under the upstream gradient ``g``."""
+    leaves = [Tensor(a.copy(), requires_grad=True) for a in arrays]
+    out = build(*leaves)
+    backward(matmul(reshape(out, (1, g.size)), Tensor(g.reshape(-1, 1))))
+    return [out.data] + [t.grad for t in leaves]
+
+
+def _assert_bitwise(got, want):
+    assert len(got) == len(want)
+    for x, y in zip(got, want):
+        assert x.dtype == y.dtype == np.float32 and x.shape == y.shape
+        assert x.tobytes() == y.tobytes()
+
+
+def test_matmul_bias_is_bitwise_add_after_matmul():
+    rng = np.random.default_rng(12)
+    arrays = [_f32(rng, 4, 7, 5), _f32(rng, 5, 3), _f32(rng, 3)]
+    g = _f32(rng, 4, 7, 3)
+    _assert_bitwise(_forward_backward(lambda x, w, b: matmul(x, w, b), arrays, g),
+                    _forward_backward(lambda x, w, b: add(matmul(x, w), b), arrays, g))
+
+
+def _pad_and_causal_mask(batch, n, pad_from):
+    """Float32 {0, MASK_NEG} mask: causal, and keys from ``pad_from`` on
+    masked in the last row of the batch."""
+    pad = np.zeros((batch, 1, 1, n), dtype=np.float32)
+    pad[-1, ..., pad_from:] = K.MASK_NEG
+    return pad + _causal_mask(n, np.float32)
+
+
+def test_softmax_mask_is_bitwise_add_before_softmax():
+    rng = np.random.default_rng(13)
+    mask = _pad_and_causal_mask(2, 6, 4)
+    arrays = [_f32(rng, 2, 3, 6, 6)]
+    g = _f32(rng, 2, 3, 6, 6)
+    _assert_bitwise(_forward_backward(lambda x: softmax(x, mask), arrays, g),
+                    _forward_backward(lambda x: softmax(add(x, Tensor(mask))), arrays, g))
+
+
+def test_attention_at_head_dim_16_is_bitwise_scale_on_scores():
+    # 1/sqrt(16) is a power of two, so scaling the queries is exact
+    def scaled_scores(q, k, v, mask):
+        scores = scale(matmul(q, transpose(k, (0, 1, 3, 2))), 1.0 / math.sqrt(q.data.shape[-1]))
+        return matmul(softmax(add(scores, Tensor(mask))), v)
+
+    rng = np.random.default_rng(14)
+    mask = _pad_and_causal_mask(2, 6, 3)
+    arrays = [_f32(rng, 2, 4, 6, 16) for _ in range(3)]
+    g = _f32(rng, 2, 4, 6, 16)
+    _assert_bitwise(_forward_backward(lambda q, k, v: attention(q, k, v, mask), arrays, g),
+                    _forward_backward(lambda q, k, v: scaled_scores(q, k, v, mask), arrays, g))
+
+
+def test_fused_operand_shape_errors():
+    x = t64(np.zeros((2, 3, 4)))
+    with pytest.raises(ShapeError):
+        matmul(x, t64(np.zeros((4, 5))), t64(np.zeros(4)))
+    with pytest.raises(ShapeError):
+        matmul(x, t64(np.zeros((2, 4, 5))), t64(np.zeros(5)))
+    with pytest.raises(ShapeError):
+        softmax(x, np.zeros((5, 1, 1, 4)))  # would broadcast x to a larger shape
+
+
 def test_operands_without_grad_get_none():
     rng = np.random.default_rng(11)
     img = t64(rng.normal(size=(2, 8, 8, 3)), grad=False)
