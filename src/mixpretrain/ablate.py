@@ -20,7 +20,7 @@ import traceback
 
 from . import atomic_write, tasksynth
 from .config import derive_config
-from .runner import load_run_report, run_complete, run_training
+from .runner import load_run_report, require_eval_split, run_complete, run_training
 from .tasksynth import EASY, HARD, KIND_NAMES, TaskKind
 
 # kind-name lists in TaskKind order: the object-aware list task is split from
@@ -103,6 +103,7 @@ def run_grid(grid, base, out_root, seeds=(0, 1, 2), jobs=1, eval_kinds=None, log
     if isinstance(grid, str):
         grid = GRIDS[grid]
     eval_kinds = list(eval_kinds) if eval_kinds else KIND_NAMES
+    require_eval_split(base, "the grid's base config")  # every cell is scored
     os.makedirs(out_root, exist_ok=True)
 
     jobs_list = [

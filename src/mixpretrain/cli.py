@@ -46,18 +46,9 @@ from .corpus import (
 )
 from .evalkit import score_files
 from .gradcheck import TOLERANCE, gradcheck_suite
-from .model import TrainingError, Vocab, load_checkpoint, restore_model
+from .model import TrainingError
 from .nnkernel import OptimizerError
-from .runner import (
-    CHECKPOINT,
-    CONFIG_ECHO,
-    VOCAB,
-    _load_or_synth_corpus,
-    check_checkpoint,
-    evaluate_run,
-    run_training,
-    split_image_ids,
-)
+from .runner import evaluate_saved_run, run_training
 from .tasksynth import EASY, HARD, SynthConfig, TaskKind, write_task_files
 
 RUNTIME_FAULTS = (TrainingError, OptimizerError)  # exit 3
@@ -113,44 +104,29 @@ def cmd_synth(args):
     return 0
 
 
-def _load_config_with_overrides(args):
-    if args.config:
-        cfg = load_run_config(args.config)
-    else:
-        cfg = parse_run_config(default_config_text())
+def _base_config(path):
+    """The run config in ``path``, or the default config when none is given."""
+    return load_run_config(path) if path else parse_run_config(default_config_text())
+
+
+def cmd_train(args):
+    cfg = _base_config(args.config)
     changes = {}
     if args.seed is not None:
         changes["seed"] = args.seed
     if args.out:
         changes["out"] = args.out
-    return derive_config(cfg, **changes) if changes else cfg
-
-
-def cmd_train(args):
-    cfg = _load_config_with_overrides(args)
+    if changes:
+        cfg = derive_config(cfg, **changes)
     summary = run_training(cfg, resume=args.resume, log=print)
     print(f"run complete -> {cfg.out} (final loss {summary['final_loss']})")
     return 0
 
 
 def cmd_eval(args):
-    run_dir = args.run
-    cfg = load_run_config(os.path.join(run_dir, CONFIG_ECHO))
-    state = load_checkpoint(os.path.join(run_dir, CHECKPOINT), optimizer=False)
-    vocab = Vocab.load(os.path.join(run_dir, VOCAB))
-    corpus, _ = _load_or_synth_corpus(cfg)
-    check_checkpoint(state, cfg, corpus, vocab)
-    model, _ = restore_model(state)
-    _, eval_ids = split_image_ids(corpus.image_ids(), cfg.eval_split, cfg.seed)
-    if not eval_ids:
-        raise ConfigError(f"{run_dir}: run has no eval split ([run] eval_split = 0)")
-    eval_corpus = corpus.subset(eval_ids)
-    # the model holds the parameters and the probe reads only the eval
-    # images, so neither the state nor the training images stay alive
-    del state, corpus
-    report = evaluate_run(model, vocab, cfg, eval_corpus, run_dir)
+    report = evaluate_saved_run(args.run)
     print(f"eval: {len(report.items)} items, exact match {report.overall_exact_match:.3f}, "
-          f"hidden penalties {report.hidden_penalties} -> {run_dir}/eval.json")
+          f"hidden penalties {report.hidden_penalties} -> {args.run}/eval.json")
     return 0
 
 
@@ -182,10 +158,7 @@ def cmd_gradcheck(args):
 def cmd_ablate(args):
     if args.grid not in GRIDS:
         raise ConfigError(f"unknown grid {args.grid!r}; choose from {sorted(GRIDS)}")
-    if args.config:
-        base = load_run_config(args.config)
-    else:
-        base = parse_run_config(default_config_text())
+    base = _base_config(args.config)
     out = _under_root(args.out, os.path.join("ablate", args.grid))
     seeds = tuple(range(args.seeds))
     eval_kinds = OA_QUESTIONS if args.grid == "paper-table2" else None

@@ -7,6 +7,7 @@ from __future__ import annotations
 import configparser
 import dataclasses
 import io
+import math
 from dataclasses import asdict, dataclass
 
 from .corpus import ConfigError, check_synth_args, read_input
@@ -208,6 +209,8 @@ def _validate(cfg):
     c = cfg.corpus
     if not (0.0 <= cfg.eval_split < 1.0):
         raise ConfigError("[run] eval_split must be in [0, 1)")
+    if not (0.0 < cfg.train["lr"] < math.inf):
+        raise ConfigError(f"[train] lr must be finite and above 0, got {cfg.train['lr']}")
     if c["source"] not in ("synth", "dir"):
         raise ConfigError(f"[corpus] source must be synth or dir, got {c['source']!r}")
     if c["source"] == "dir" and not c["dir"]:

@@ -242,7 +242,7 @@ def predict(model, vocab, examples, images, batch_size=64):
     return preds
 
 
-def evaluate(model, vocab, examples, images, corpus=None, batch_size=64):
+def evaluate(model, vocab, examples, images, corpus, batch_size=64):
     """Generate + score.  ``corpus`` supplies caption references and hidden
     positives."""
     preds = predict(model, vocab, examples, images, batch_size=batch_size)
@@ -250,11 +250,10 @@ def evaluate(model, vocab, examples, images, corpus=None, batch_size=64):
     for i, (ex, pred) in enumerate(zip(examples, preds)):
         gts = [ex.target]
         hidden = ()
-        if corpus is not None:
-            if ex.kind == TaskKind.CAPTION and corpus.captions.get(ex.image_id):
-                gts = [c.caption for c in corpus.captions[ex.image_id]]
-            if ex.kind == TaskKind.OA_LIST:
-                hidden = _hidden_display_names(corpus, ex.image_id)
+        if ex.kind == TaskKind.CAPTION and corpus.captions.get(ex.image_id):
+            gts = [c.caption for c in corpus.captions[ex.image_id]]
+        if ex.kind == TaskKind.OA_LIST:
+            hidden = _hidden_display_names(corpus, ex.image_id)
         items.append(EvalItem(
             example_id=f"{i:06d}:{ex.image_id}",
             prediction=pred,
@@ -262,9 +261,7 @@ def evaluate(model, vocab, examples, images, corpus=None, batch_size=64):
             kind=ex.kind.value,
             hidden_names=hidden,
         ))
-    fingerprints = {"vocab": vocab.fingerprint()}
-    if corpus is not None:
-        fingerprints["corpus"] = corpus.fingerprint()
+    fingerprints = {"vocab": vocab.fingerprint(), "corpus": corpus.fingerprint()}
     return score_items(items, fingerprints=fingerprints)
 
 

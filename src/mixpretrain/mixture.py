@@ -9,6 +9,7 @@ without replacement.  Total step count never depends on component count.
 from __future__ import annotations
 
 import hashlib
+import math
 import random
 from dataclasses import dataclass, field
 
@@ -34,8 +35,10 @@ class MixtureSpec:
         if len(set(self.names)) != len(self.names):
             raise ScheduleError("duplicate component names")
         for n, w in zip(self.names, self.weights):
-            if not (w > 0):
-                raise ScheduleError(f"component {n!r} has non-positive weight {w}")
+            if not (0 < w < math.inf):
+                raise ScheduleError(f"component {n!r} has weight {w}, not finite and above 0")
+        if sum(self.weights) == math.inf:
+            raise ScheduleError("weights sum to more than a float holds")
 
     @classmethod
     def equal(cls, names):

@@ -5,7 +5,8 @@ parents and a closure that pushes gradients back to them.  Training runs in
 float32; gradient checks run the same graph in float64 (ops inherit the dtype
 of their inputs).  Single-threaded per tape; no in-place mutation of produced
 values outside the optimizer.  ``backward`` leaves gradients on the leaves
-only: an inner node's gradient is freed once pushed to its parents.
+only: an inner node's gradient is freed once pushed to its parents, so a
+repeated sweep adds to the leaves' gradients and to nothing else.
 
 numpy reduces a short last axis row by row, so the row sums of ``softmax``,
 ``cross_entropy_masked`` and ``layer_norm``'s backward pass, and the bias and
@@ -476,11 +477,10 @@ def backward(loss):
     """Reverse-mode sweep from a scalar loss.
 
     Each call propagates exactly one unit of output gradient into the leaves
-    (tensors without a backward closure: parameters and inputs).  An inner
-    node's gradient is dropped once it has been pushed to the node's parents,
-    so the sweep frees gradients as it goes.  Grads already sitting on
-    tensors are kept aside during the sweep and re-added after, so repeated
-    backward accumulates instead of double-counting stale values.
+    (tensors without a backward closure: parameters and inputs), adding to
+    any gradient a leaf already holds.  An inner node's gradient is dropped
+    once it has been pushed to the node's parents, so the sweep frees
+    gradients as it goes, and a repeated sweep starts from clean inner nodes.
     """
     if loss.data.size != 1:
         raise ValueError(f"backward needs a scalar, got shape {loss.data.shape}")
@@ -501,16 +501,11 @@ def backward(loss):
             if p.requires_grad and p not in seen:
                 stack.append((p, False))
 
-    stash = [(node, node.grad) for node in order if node.grad is not None]
-    for node, _ in stash:
-        node.grad = None
     loss.grad = np.ones_like(loss.data)
     for node in reversed(order):
         if node._backward is not None and node.grad is not None:
             node._backward(node.grad)
             node.grad = None
-    for node, old in stash:
-        node.grad = old if node.grad is None else node.grad + old
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Single-run pipeline: corpus -> task synthesis -> schedule -> training ->
-held-out evaluation, all inside one run directory.
+held-out evaluation, all inside one run directory; and the one place that
+rebuilds a run from that directory, for ``--resume`` and ``eval`` alike.
 
 The split is at image level so no eval image contributes training examples.
 Eval questions are always synthesized with the easy policy: the training
@@ -16,7 +17,7 @@ import random
 import time
 
 from . import atomic_write, load_bundled_lexicon, staged_dir
-from .config import RunConfig
+from .config import RunConfig, load_run_config
 from .corpus import ConfigError, load_corpus, synth_corpus
 from .evalkit import evaluate, write_predictions
 from .mixture import build_schedule
@@ -24,6 +25,7 @@ from .model import (
     AdamState,
     CheckpointError,
     Model,
+    Vocab,
     build_vocab,
     load_checkpoint,
     read_metrics,
@@ -75,12 +77,18 @@ def _load_or_synth_corpus(cfg):
     return corpus, load_bundled_lexicon()
 
 
-def check_checkpoint(state, cfg, corpus, vocab):
-    """Refuse a checkpoint written under another vocab, corpus or model
-    config than the run ``cfg`` rebuilds; the error names what differs.
-    ``train --resume`` calls it once the task files are staged and the vocab
-    is built, before anything else in the run directory changes; ``eval``
-    calls it with the run's stored vocab."""
+def require_eval_split(cfg, what):
+    """Refuse, from the config alone, a run that holds no eval images.
+    `split_image_ids` gives every non-empty corpus an eval image exactly when
+    ``eval_split`` is above 0, so no file needs to be read to tell."""
+    if cfg.eval_split <= 0:
+        raise ConfigError(f"{what} has no eval split ([run] eval_split = 0)")
+
+
+def restore_checkpoint(state, cfg, corpus, vocab):
+    """(Model, AdamState) from a loaded checkpoint ``state``, or a
+    CheckpointError naming what differs when it was written under another
+    vocab, corpus or model config than the run ``cfg`` rebuilds."""
     diffs = []
     if state.vocab_fingerprint != vocab.fingerprint():
         diffs.append("vocab")
@@ -94,6 +102,7 @@ def check_checkpoint(state, cfg, corpus, vocab):
         diffs.append(f"model config ({', '.join(changed)})")
     if diffs:
         raise CheckpointError(f"checkpoint does not match this run: {'; '.join(diffs)} differ")
+    return restore_model(state)
 
 
 def run_complete(run_dir, config_text):
@@ -144,8 +153,7 @@ def run_training(cfg: RunConfig, resume=False, log=None):
         restored, start_step, logged = None, 0, []
         if resume and os.path.exists(ckpt_path):
             state = load_checkpoint(ckpt_path)
-            check_checkpoint(state, cfg, corpus, vocab)
-            restored = restore_model(state)
+            restored = restore_checkpoint(state, cfg, corpus, vocab)
             start_step = state.step
             logged = read_metrics(os.path.join(run_dir, METRICS), start_step)
 
@@ -250,6 +258,24 @@ def evaluate_run(model, vocab, cfg, eval_corpus, run_dir):
                       [it["id"] for it in report.items],
                       [it["prediction"] for it in report.items])
     return report
+
+
+def evaluate_saved_run(run_dir):
+    """Re-score a finished run from its directory alone: the echoed config,
+    the checkpoint's parameters (no Adam moments) and the stored vocab.
+    Rewrites eval.json and predictions.jsonl and returns the EvalReport."""
+    cfg = load_run_config(os.path.join(run_dir, CONFIG_ECHO))
+    require_eval_split(cfg, f"run {run_dir}")
+    state = load_checkpoint(os.path.join(run_dir, CHECKPOINT), optimizer=False)
+    vocab = Vocab.load(os.path.join(run_dir, VOCAB))
+    corpus, _ = _load_or_synth_corpus(cfg)
+    model, _ = restore_checkpoint(state, cfg, corpus, vocab)
+    _, eval_ids = split_image_ids(corpus.image_ids(), cfg.eval_split, cfg.seed)
+    eval_corpus = corpus.subset(eval_ids)
+    # the model holds the parameters and the probe reads only the eval
+    # images, so neither the state nor the training images stay alive
+    del state, corpus
+    return evaluate_run(model, vocab, cfg, eval_corpus, run_dir)
 
 
 def load_run_report(run_dir):

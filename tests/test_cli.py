@@ -400,8 +400,15 @@ def test_resume_refuses_checkpoint_of_another_config(micro_run, tmp_path, capsys
     ("kinds = caption oa_exists oa_list", "kinds =", [], "[tasks]"),
     ("grid = 2", "grid = 1", [], "[corpus]"),
     ("[corpus]\n", "[corpus]\nhidden_rate = 1.5\n", [], "[corpus]"),
+    ("[train]\n", "[mixture]\nweights = inf 1 1\n[train]\n", [], "[mixture]"),
+    ("[train]\n", "[mixture]\nweights = 1e308 1e308 1\n[train]\n", [], "[mixture]"),
+    ("[train]\n", "[train]\nlr = nan\n", [], "[train]"),
+    ("[train]\n", "[train]\nlr = 0\n", [], "[train]"),
+    ("[train]\n", "[train]\nlr = -1\n", [], "[train]"),
+    ("[train]\n", "[train]\nlr = inf\n", [], "[train]"),
 ], ids=["n_heads", "zero_weight", "negative_seed", "yes_no_balance", "repeated_kind",
-        "no_kinds", "grid_1", "hidden_rate"])
+        "no_kinds", "grid_1", "hidden_rate", "infinite_weight", "weight_sum_overflows",
+        "lr_nan", "lr_0", "lr_negative", "lr_inf"])
 def test_config_refused_before_anything_runs(micro_run, tmp_path, capsys, monkeypatch,
                                              old, new, argv, section):
     def no_synthesis(*args, **kwargs):
@@ -781,7 +788,7 @@ def test_cli_train_eval_score(tmp_path, capsys):
 
 
 def test_cli_eval_rewrites_the_same_results(micro_run, tmp_path, monkeypatch):
-    from mixpretrain import cli
+    from mixpretrain import runner
 
     out, _ = _copy_of_run(micro_run, tmp_path)
     names = ("eval.json", "predictions.jsonl")
@@ -789,12 +796,25 @@ def test_cli_eval_rewrites_the_same_results(micro_run, tmp_path, monkeypatch):
     for n in names:
         os.remove(os.path.join(out, n))
     loads = []
-    real = cli.load_checkpoint
-    monkeypatch.setattr(cli, "load_checkpoint", lambda *a, **k: loads.append(k) or real(*a, **k))
+    real = runner.load_checkpoint
+    monkeypatch.setattr(runner, "load_checkpoint",
+                        lambda *a, **k: loads.append(k) or real(*a, **k))
     assert main(["eval", "--run", out]) == 0
     assert loads == [{"optimizer": False}]  # eval reads no Adam moments
     for n in names:
         assert open(os.path.join(out, n), "rb").read() == before[n], n
+
+
+def test_cli_eval_refuses_a_run_without_eval_split_before_reading_it(micro_run, tmp_path,
+                                                                       capsys):
+    out, _ = _copy_of_run(micro_run, tmp_path, "eval_split = 0.2", "eval_split = 0.0")
+    shutil.copy(tmp_path / "run.ini", os.path.join(out, "config.ini"))
+    os.remove(os.path.join(out, "checkpoint.mpt"))  # a read would fail with another error
+    before = _dir_bytes(out)
+    assert main(["eval", "--run", out]) == 2
+    assert capsys.readouterr().err == \
+        f"error: run {out} has no eval split ([run] eval_split = 0)\n"
+    assert _dir_bytes(out) == before
 
 
 def test_score_out_failed_write_keeps_previous(micro_run, tmp_path, monkeypatch):
@@ -915,6 +935,22 @@ def test_cli_bad_grid_name(capsys):
     rc = main(["ablate", "--grid", "paper-table9", "--out", "/tmp/nope"])
     assert rc == 2
     assert "paper-table9" in capsys.readouterr().err
+
+
+def test_cli_ablate_refuses_a_base_config_without_eval_split(tmp_path, capsys, monkeypatch):
+    def no_training(*args, **kwargs):
+        raise AssertionError("a cell trained for a refused grid")
+
+    monkeypatch.setattr(ablate, "run_training", no_training)
+    ini = tmp_path / "base.ini"
+    ini.write_text(MICRO_INI.format(out="unused").replace("eval_split = 0.2", "eval_split = 0"))
+    out = tmp_path / "grid"
+    argv = ["ablate", "--grid", "paper-table1", "--seeds", "1", "--config", str(ini),
+            "--out", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == \
+        "error: the grid's base config has no eval split ([run] eval_split = 0)\n"
+    assert not os.path.exists(out)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import collections
 import csv
+import math
 import random
 
 import numpy as np
@@ -63,6 +64,13 @@ def test_spec_validation():
         MixtureSpec(names=["a"], weights=[0.0])
     with pytest.raises(ScheduleError):
         MixtureSpec(names=["a", "a"], weights=[1, 1])
+    # an infinite weight is never drawn, and an overflowing sum draws only the last
+    with pytest.raises(ScheduleError, match="'a' has weight inf"):
+        MixtureSpec(names=["a", "b"], weights=[math.inf, 1.0])
+    with pytest.raises(ScheduleError, match="weights sum"):
+        MixtureSpec(names=["a", "b"], weights=[1e308, 1e308])
+    with pytest.raises(ScheduleError, match="'a' has weight nan"):
+        MixtureSpec(names=["a"], weights=[math.nan])
 
 
 # ---------------------------------------------------------------------------
