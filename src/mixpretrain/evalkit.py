@@ -231,18 +231,34 @@ def _hidden_display_names(corpus, image_id):
     return tuple(sorted(corpus.display_name(c) for c in hid))
 
 
-def predict(model, vocab, examples, images, batch_size=64):
-    """Greedy predictions for task examples, in order.  Deterministic."""
-    preds = []
+def predict(model, vocab, examples, images, batch_size):
+    """Greedy predictions for task examples, in input order.  Deterministic.
+
+    Each distinct (image_id, prompt) pair, which is all `Model.generate_batch`
+    reads of an example, is decoded once, and every example that asks it gets
+    its answer.  The distinct pairs are cut into batches of ``batch_size``
+    after a stable sort by kind (in order of first appearance) and then by
+    prompt length in words, so batches pad less and short answers rarely
+    wait on long ones."""
+    first = {}  # (image_id, prompt) -> first example asking it
+    for ex in examples:
+        first.setdefault((ex.image_id, ex.prompt), ex)
+    kind_rank = {}
+    for ex in first.values():
+        kind_rank.setdefault(ex.kind, len(kind_rank))
+    queue = sorted(first.values(), key=lambda ex: (kind_rank[ex.kind], len(ex.prompt.split())))
+    answers = {}
     limits = (model.cfg.max_prompt, model.cfg.max_target)
-    for lo in range(0, len(examples), batch_size):
-        batch = make_batch(examples[lo : lo + batch_size], vocab, limits, images=images)
-        for ids in model.generate_batch(batch.images, batch.prompt_ids, prompt_mask=batch.prompt_mask):
-            preds.append(vocab.decode(ids))
-    return preds
+    for lo in range(0, len(queue), batch_size):
+        chunk = queue[lo : lo + batch_size]
+        batch = make_batch(chunk, vocab, limits, images=images)
+        rows = model.generate_batch(batch.images, batch.prompt_ids, prompt_mask=batch.prompt_mask)
+        for ex, ids in zip(chunk, rows):
+            answers[ex.image_id, ex.prompt] = vocab.decode(ids)
+    return [answers[ex.image_id, ex.prompt] for ex in examples]
 
 
-def evaluate(model, vocab, examples, images, corpus, batch_size=64):
+def evaluate(model, vocab, examples, images, corpus, batch_size):
     """Generate + score.  ``corpus`` supplies caption references and hidden
     positives."""
     preds = predict(model, vocab, examples, images, batch_size=batch_size)

@@ -44,10 +44,15 @@ METRICS = "metrics.jsonl"
 
 
 def split_image_ids(ids, fraction, seed):
-    """Deterministic image-level split -> (train_ids, eval_ids)."""
+    """Deterministic image-level split -> (train_ids, eval_ids).  A split
+    above 0 gives eval at least one image and training at least one, so a
+    corpus of one image cannot be split: that is a ConfigError."""
     ids = sorted(ids)
     n_eval = int(round(len(ids) * fraction))
     if fraction > 0.0:
+        if len(ids) < 2:
+            raise ConfigError(f"[run] eval_split = {fraction} leaves no training image in "
+                              f"a corpus of {len(ids)} image{'' if len(ids) == 1 else 's'}")
         n_eval = max(1, min(len(ids) - 1, n_eval))
     rng = random.Random(f"split|{seed}")
     eval_ids = set(rng.sample(ids, n_eval))
@@ -269,8 +274,8 @@ def evaluate_saved_run(run_dir):
     state = load_checkpoint(os.path.join(run_dir, CHECKPOINT), optimizer=False)
     vocab = Vocab.load(os.path.join(run_dir, VOCAB))
     corpus, _ = _load_or_synth_corpus(cfg)
-    model, _ = restore_checkpoint(state, cfg, corpus, vocab)
     _, eval_ids = split_image_ids(corpus.image_ids(), cfg.eval_split, cfg.seed)
+    model, _ = restore_checkpoint(state, cfg, corpus, vocab)
     eval_corpus = corpus.subset(eval_ids)
     # the model holds the parameters and the probe reads only the eval
     # images, so neither the state nor the training images stay alive

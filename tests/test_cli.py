@@ -604,6 +604,23 @@ def test_train_refuses_a_corpus_of_another_image_size(micro_run, tmp_path, capsy
         assert _dir_bytes(out) == before
 
 
+def test_split_without_a_training_image_refused_before_the_run_dir_changes(
+        micro_run, tmp_path, capsys):
+    out, ini = _copy_of_run(micro_run, tmp_path, "n_images = 36", "n_images = 1")
+    message = "error: [run] eval_split = 0.2 leaves no training image in a corpus of 1 image\n"
+    fresh = tmp_path / "fresh"
+    assert main(["train", "--config", str(ini), "--out", str(fresh)]) == 2
+    assert capsys.readouterr().err == message
+    assert not os.path.exists(fresh)
+    shutil.copy(ini, os.path.join(out, "config.ini"))  # the config eval reads
+    before = _dir_bytes(out)
+    for argv in (["train", "--config", str(ini)], ["train", "--config", str(ini), "--resume"],
+                 ["eval", "--run", out]):
+        assert main(argv) == 2
+        assert capsys.readouterr().err == message
+        assert _dir_bytes(out) == before
+
+
 # ---------------------------------------------------------------------------
 # the fault contract: InputError and OSError exit 2, runtime faults 3, and
 # anything else is a bug that keeps its traceback
@@ -790,19 +807,33 @@ def test_cli_train_eval_score(tmp_path, capsys):
 def test_cli_eval_rewrites_the_same_results(micro_run, tmp_path, monkeypatch):
     from mixpretrain import runner
 
-    out, _ = _copy_of_run(micro_run, tmp_path)
-    names = ("eval.json", "predictions.jsonl")
-    before = {n: open(os.path.join(out, n), "rb").read() for n in names}
-    for n in names:
-        os.remove(os.path.join(out, n))
     loads = []
     real = runner.load_checkpoint
     monkeypatch.setattr(runner, "load_checkpoint",
                         lambda *a, **k: loads.append(k) or real(*a, **k))
-    assert main(["eval", "--run", out]) == 0
-    assert loads == [{"optimizer": False}]  # eval reads no Adam moments
-    for n in names:
-        assert open(os.path.join(out, n), "rb").read() == before[n], n
+    names = ("eval.json", "predictions.jsonl")
+    for per_kind in (5, 12):  # the micro run's probe, then one that repeats questions
+        (tmp_path / str(per_kind)).mkdir()
+        out, ini = _copy_of_run(micro_run, tmp_path / str(per_kind), "eval_count_per_kind = 5",
+                                f"eval_count_per_kind = {per_kind}")
+        if per_kind != 5:
+            # a finished run resumed trains no step and writes the wider probe's
+            # results; 12 per kind on 7 eval images asks caption and oa_list
+            # questions again
+            assert main(["train", "--config", str(ini), "--resume"]) == 0
+            with open(os.path.join(out, "eval.json")) as f:
+                report = json.load(f)
+            images = [item["id"].split(":", 1)[1] for item in report["items"]
+                      if item["kind"] == "caption"]
+            assert len(images) == per_kind > len(set(images))
+        before = {n: open(os.path.join(out, n), "rb").read() for n in names}
+        for n in names:
+            os.remove(os.path.join(out, n))
+        loads.clear()
+        assert main(["eval", "--run", out]) == 0
+        assert loads == [{"optimizer": False}]  # eval reads no Adam moments
+        for n in names:
+            assert open(os.path.join(out, n), "rb").read() == before[n], (per_kind, n)
 
 
 def test_cli_eval_refuses_a_run_without_eval_split_before_reading_it(micro_run, tmp_path,

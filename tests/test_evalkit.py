@@ -23,7 +23,8 @@ from mixpretrain.evalkit import (
     write_ground_truth,
     write_predictions,
 )
-from mixpretrain.model import Model, ModelConfig, build_vocab
+from mixpretrain.mixture import MixtureSpec, ScheduleConfig, build_schedule, make_batch
+from mixpretrain.model import AdamState, Model, ModelConfig, build_vocab, train
 from mixpretrain.tasksynth import SynthConfig, TaskKind, synth_dataset
 
 
@@ -328,7 +329,7 @@ def eval_setup():
 
 def test_evaluate_report_structure(eval_setup):
     corpus, examples, vocab, model, images = eval_setup
-    rep = evaluate(model, vocab, examples, images, corpus=corpus)
+    rep = evaluate(model, vocab, examples, images, corpus=corpus, batch_size=8)
     assert len(rep.items) == len(examples)
     assert set(rep.per_task) == {"caption", "oa_exists", "oa_list"}
     assert rep.fingerprints["vocab"] == vocab.fingerprint()
@@ -338,8 +339,8 @@ def test_evaluate_report_structure(eval_setup):
 
 def test_evaluate_deterministic_bytes(eval_setup):
     corpus, examples, vocab, model, images = eval_setup
-    a = evaluate(model, vocab, examples, images, corpus=corpus).to_json()
-    b = evaluate(model, vocab, examples, images, corpus=corpus).to_json()
+    a = evaluate(model, vocab, examples, images, corpus=corpus, batch_size=8).to_json()
+    b = evaluate(model, vocab, examples, images, corpus=corpus, batch_size=8).to_json()
     assert a == b
 
 
@@ -347,16 +348,86 @@ def test_evaluate_caption_uses_corpus_references(eval_setup):
     corpus, examples, vocab, model, images = eval_setup
     caption_ex = next(e for e in examples if e.kind == TaskKind.CAPTION)
     rep = evaluate(model, vocab, [caption_ex], {caption_ex.image_id: images[caption_ex.image_id]},
-                   corpus=corpus)
+                   corpus=corpus, batch_size=8)
     assert rep.per_task["caption"]["n"] == 1
 
 
-def test_predict_batching_invariant(eval_setup):
+def _predict_every_item(model, vocab, examples, images, batch_size):
+    """Reference: every example decoded, in input-order batches."""
+    preds = []
+    limits = (model.cfg.max_prompt, model.cfg.max_target)
+    for lo in range(0, len(examples), batch_size):
+        batch = make_batch(examples[lo : lo + batch_size], vocab, limits, images=images)
+        for ids in model.generate_batch(batch.images, batch.prompt_ids, prompt_mask=batch.prompt_mask):
+            preds.append(vocab.decode(ids))
+    return preds
+
+
+def _decoded_rows(monkeypatch):
+    """Spy on Model.generate_batch: each call appends its rows, one
+    (pixel bytes, prompt ids) key per row."""
+    calls = []
+    real = Model.generate_batch
+
+    def spy(self, images, prompt_ids, prompt_mask=None):
+        calls.append([(np.asarray(img, dtype=np.float32).tobytes(),
+                       tuple(int(i) for i, m in zip(ids, mask) if m))
+                      for img, ids, mask in zip(images, prompt_ids, prompt_mask)])
+        return real(self, images, prompt_ids, prompt_mask=prompt_mask)
+
+    monkeypatch.setattr(Model, "generate_batch", spy)
+    return calls
+
+
+def _pair_key(ex, vocab, model, images):
+    prompt = vocab.encode(ex.prompt)[: model.cfg.max_prompt]
+    return np.asarray(images[ex.image_id], dtype=np.float32).tobytes(), tuple(prompt)
+
+
+@pytest.fixture(scope="module")
+def trained_model(eval_setup):
+    """The fixture's model after 300 steps on its examples: unlike the random
+    model, it gives different images and questions different answers."""
     corpus, examples, vocab, model, images = eval_setup
+    trained = Model(model.cfg, seed=3)
+    schedule = build_schedule(MixtureSpec.equal(["all"]),
+                              ScheduleConfig(total_steps=300, batch_size=8, seed=5),
+                              {"all": len(examples)})
+    train(trained, schedule, {"all": examples}, vocab, AdamState(lr=1e-2), images=images)
+    return trained
+
+
+def test_predict_batching_invariant(eval_setup, trained_model, monkeypatch):
+    corpus, examples, vocab, _, images = eval_setup
+    model = trained_model
     subset = examples[:10]
     one = predict(model, vocab, subset, images, batch_size=3)
     two = predict(model, vocab, subset, images, batch_size=10)
     assert one == two
+
+    # 20 per kind on 12 images: caption and oa_list repeat their one prompt
+    # per image; the tail repeats caption items after the other kinds
+    kinds = [TaskKind.CAPTION, TaskKind.OA_EXISTS, TaskKind.OA_LIST]
+    probe = list(synth_dataset(corpus, kinds, 20, SynthConfig(seed=5)))
+    probe += probe[3:9]
+    keys = [_pair_key(ex, vocab, model, images) for ex in probe]
+    assert len(set(keys)) < len(keys)
+    calls = _decoded_rows(monkeypatch)
+    for batch_size in (1, 5, 64):
+        calls.clear()
+        preds = predict(model, vocab, probe, images, batch_size=batch_size)
+        rows = [row for call in calls for row in call]
+        assert sorted(rows) == sorted(set(keys))  # each distinct pair, once
+        assert max(len(call) for call in calls) <= batch_size
+        assert preds == _predict_every_item(model, vocab, probe, images, batch_size)
+    assert len(set(preds)) > 5
+
+    # a probe without repeats decodes every item exactly once
+    assert len({_pair_key(ex, vocab, model, images) for ex in examples}) == len(examples)
+    calls.clear()
+    predict(model, vocab, examples, images, batch_size=7)
+    rows = [row for call in calls for row in call]
+    assert sorted(rows) == sorted(_pair_key(ex, vocab, model, images) for ex in examples)
 
 
 # ---------------------------------------------------------------------------
