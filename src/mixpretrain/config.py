@@ -82,8 +82,9 @@ def parse_kinds(names, what="task kind"):
 
 @dataclass
 class RunConfig:
-    """A parsed run config.  Build it with `parse_run_config`, the one gate:
-    a config that comes out of it is one the run accepts."""
+    """A parsed run config.  Build it with `parse_run_config` or
+    `load_run_config`, which share one gate: a config that comes out of
+    either is one the run accepts."""
 
     seed: int
     out: str
@@ -170,10 +171,16 @@ def _coerce(section, key, raw):
 
 
 def parse_run_config(text):
+    """The RunConfig of INI ``text`` that was not read from a file."""
+    return _parse(text, "<string>")
+
+
+def _parse(text, source):
+    """The RunConfig of INI ``text``; an INI syntax error names ``source``."""
     # no interpolation: a value such as a path may hold a literal "%"
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), interpolation=None)
     try:
-        parser.read_string(text)
+        parser.read_string(text, source)
     except configparser.Error as e:
         raise ConfigError(f"bad config file: {e}") from None
 
@@ -243,7 +250,7 @@ def load_run_config(path):
         text = read_input(path, lambda f: f.read())
     except OSError as e:
         raise ConfigError(f"cannot read config {path}: {e}") from None
-    return parse_run_config(text)
+    return _parse(text, path)
 
 
 def render_config(cfg):

@@ -44,6 +44,7 @@ from .nnkernel import (
     reshape,
     transpose,
 )
+from .tasksynth import MAX_SENTINELS, NO, YES, sentinel
 
 
 class TrainingError(RuntimeError):
@@ -66,15 +67,8 @@ class VersionError(CheckpointError):
 # vocabulary
 
 PAD, EOS, UNK = "<pad>", "<eos>", "<unk>"
-N_SENTINELS = 16
-MIN_VOCAB_SIZE = 3 + N_SENTINELS  # the special tokens alone
-
-
-def sentinel(k):
-    return f"<extra_{k}>"
-
-
-_SPECIALS = [PAD, EOS, UNK] + [sentinel(k) for k in range(N_SENTINELS)]
+MIN_VOCAB_SIZE = 3 + MAX_SENTINELS  # the special tokens alone
+_SPECIALS = [PAD, EOS, UNK] + [sentinel(k) for k in range(MAX_SENTINELS)]
 
 
 @dataclass
@@ -134,8 +128,8 @@ class Vocab:
 def build_vocab(examples):
     """Frequency-ordered vocabulary over prompt+target words of a task stream.
 
-    Ties break lexicographically; "yes"/"no" are force-included so yes/no
-    tasks can always be answered.
+    Ties break lexicographically; the answer words `YES` and `NO` are
+    force-included so yes/no tasks can always be answered.
     """
     counts = collections.Counter()
     n = 0
@@ -145,7 +139,7 @@ def build_vocab(examples):
         counts.update(ex.target.split())
     if n == 0:
         raise ValueError("build_vocab: empty example stream")
-    for w in ("yes", "no"):
+    for w in (YES, NO):
         if w not in counts:
             counts[w] = 0
     words = sorted(

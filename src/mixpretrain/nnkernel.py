@@ -8,6 +8,12 @@ values outside the optimizer.  ``backward`` leaves gradients on the leaves
 only: an inner node's gradient is freed once pushed to its parents, so a
 repeated sweep adds to the leaves' gradients and to nothing else.
 
+Operands are Tensors, and every op reads them as given.  Masks, ids and
+targets are plain arrays: the additive mask of ``softmax`` and
+``attention``, the ids of ``embedding``, the targets and loss mask of
+``cross_entropy_masked``.  Raw data enters a tape only where its caller
+wraps it in a ``Tensor`` (the model's pixels, gradcheck's projection).
+
 numpy reduces a short last axis row by row, so the row sums of ``softmax``,
 ``cross_entropy_masked`` and ``layer_norm``'s backward pass, and the bias and
 position-table gradients in ``_unbroadcast``, run as one BLAS GEMV against a
@@ -86,10 +92,6 @@ class Tensor:
         return add(self, other)
 
 
-def _as_tensor(x):
-    return x if isinstance(x, Tensor) else Tensor(np.asarray(x))
-
-
 def _accum(t, g):
     if not t.requires_grad:
         return
@@ -136,7 +138,6 @@ def _unbroadcast(g, shape):
 # primitive ops
 
 def add(a, b):
-    a, b = _as_tensor(a), _as_tensor(b)
     out_data = a.data + b.data
 
     def backward(g):
@@ -149,7 +150,6 @@ def add(a, b):
 
 
 def mul(a, b):
-    a, b = _as_tensor(a), _as_tensor(b)
     out_data = a.data * b.data
 
     def backward(g):
@@ -162,7 +162,6 @@ def mul(a, b):
 
 
 def scale(x, c):
-    x = _as_tensor(x)
     c = x.data.dtype.type(c)
     out_data = x.data * c
 
@@ -179,15 +178,12 @@ def matmul(a, b, bias=None):
     gradient needs no batched product summed away.  The bias is added in
     place on the GEMM output and its gradient is one GEMV over the rows of
     the output gradient, bit for bit ``add(matmul(a, b), bias)``."""
-    a, b = _as_tensor(a), _as_tensor(b)
     if a.data.ndim < 2 or b.data.ndim < 2 or a.data.shape[-1] != b.data.shape[-2]:
         raise ShapeError(f"matmul: {a.data.shape} @ {b.data.shape}")
     if b.data.ndim == 2:
         d, e = b.data.shape
-        if bias is not None:
-            bias = _as_tensor(bias)
-            if bias.data.shape != (e,):
-                raise ShapeError(f"matmul: bias {bias.data.shape} for {b.data.shape} weight")
+        if bias is not None and bias.data.shape != (e,):
+            raise ShapeError(f"matmul: bias {bias.data.shape} for {b.data.shape} weight")
         a2 = a.data.reshape(-1, d)
         out2 = a2 @ b.data
         if bias is not None:
@@ -219,7 +215,6 @@ def matmul(a, b, bias=None):
 
 
 def relu(x):
-    x = _as_tensor(x)
     out_data = np.maximum(x.data, 0)
 
     def backward(g):
@@ -257,7 +252,6 @@ def embedding(table, ids):
 
 
 def reshape(x, shape):
-    x = _as_tensor(x)
     out_data = x.data.reshape(shape)
 
     def backward(g):
@@ -267,7 +261,6 @@ def reshape(x, shape):
 
 
 def transpose(x, axes):
-    x = _as_tensor(x)
     out_data = x.data.transpose(axes)
     inverse = tuple(sorted(range(len(axes)), key=axes.__getitem__))
 
@@ -278,7 +271,6 @@ def transpose(x, axes):
 
 
 def concat(tensors, axis):
-    tensors = [_as_tensor(t) for t in tensors]
     out_data = np.concatenate([t.data for t in tensors], axis=axis)
     splits = np.cumsum([t.data.shape[axis] for t in tensors])[:-1]
 
@@ -323,7 +315,6 @@ def softmax(x, mask=None):
     ``mask`` is a plain additive array (such as {0, MASK_NEG}) that
     broadcasts to ``x``'s shape; it is added into the softmax's own buffer,
     bit for bit ``softmax(add(x, Tensor(mask)))`` with one array fewer."""
-    x = _as_tensor(x)
     if mask is None:
         out_data = x.data - _row_max(x.data)
     else:
@@ -350,7 +341,6 @@ LN_EPS = 1e-6
 
 def layer_norm(x, gain, bias, eps=LN_EPS):
     """Normalize the last axis to zero mean / unit variance, then affine."""
-    x, gain, bias = _as_tensor(x), _as_tensor(gain), _as_tensor(bias)
     n = x.data.shape[-1]
     # the statistics are numpy's mean and var bit for bit: the same pairwise
     # add.reduce, without ndarray.mean's Python wrapper

@@ -18,7 +18,7 @@ import time
 
 from . import atomic_write, load_bundled_lexicon, staged_dir
 from .config import RunConfig, load_run_config
-from .corpus import ConfigError, load_corpus, synth_corpus
+from .corpus import ConfigError, ParseError, load_corpus, read_input, read_json, synth_corpus
 from .evalkit import evaluate, write_predictions
 from .mixture import build_schedule
 from .model import (
@@ -214,11 +214,7 @@ def run_training(cfg: RunConfig, resume=False, log=None):
 
     if eval_corpus is not None:
         report = evaluate_run(model, vocab, cfg, eval_corpus, run_dir)
-        summary["eval"] = {
-            "overall_exact_match": report.overall_exact_match,
-            "per_task": report.per_task,
-            "hidden_penalties": report.hidden_penalties,
-        }
+        summary["eval"] = _eval_summary(report)
         say(f"eval exact match {report.overall_exact_match:.3f}")
     stage_done("eval")
 
@@ -226,9 +222,13 @@ def run_training(cfg: RunConfig, resume=False, log=None):
     summary["stage_seconds"] = _stage_seconds(stage_ends)
     train_s = summary["stage_seconds"]["train"]
     summary["steps_per_second"] = round(len(history) / train_s, 3) if train_s else None
+    _write_run_report(run_dir, summary)
+    return summary
+
+
+def _write_run_report(run_dir, summary):
     with atomic_write(os.path.join(run_dir, RUN_REPORT)) as f:
         json.dump(summary, f, sort_keys=True, indent=2)
-    return summary
 
 
 def _stage_seconds(stage_ends):
@@ -241,6 +241,15 @@ def _stage_seconds(stage_ends):
         out[name] = round(end - prev, 3)
         prev = end
     return out
+
+
+def _eval_summary(report):
+    """The ``eval`` block of run.json."""
+    return {
+        "overall_exact_match": report.overall_exact_match,
+        "per_task": report.per_task,
+        "hidden_penalties": report.hidden_penalties,
+    }
 
 
 def eval_questions(cfg, eval_corpus):
@@ -268,11 +277,19 @@ def evaluate_run(model, vocab, cfg, eval_corpus, run_dir):
 def evaluate_saved_run(run_dir):
     """Re-score a finished run from its directory alone: the echoed config,
     the checkpoint's parameters (no Adam moments) and the stored vocab.
-    Rewrites eval.json and predictions.jsonl and returns the EvalReport."""
+    Rewrites eval.json and predictions.jsonl, and the ``eval`` block of
+    run.json when the run has one (its presence marks a finished run, so it
+    is never created here), and returns the EvalReport."""
     cfg = load_run_config(os.path.join(run_dir, CONFIG_ECHO))
     require_eval_split(cfg, f"run {run_dir}")
     state = load_checkpoint(os.path.join(run_dir, CHECKPOINT), optimizer=False)
     vocab = Vocab.load(os.path.join(run_dir, VOCAB))
+    run_report = os.path.join(run_dir, RUN_REPORT)
+    summary = None
+    if os.path.exists(run_report):
+        summary = read_input(run_report, read_json)
+        if not isinstance(summary, dict):
+            raise ParseError(f"{run_report}: not a JSON object")
     corpus, _ = _load_or_synth_corpus(cfg)
     _, eval_ids = split_image_ids(corpus.image_ids(), cfg.eval_split, cfg.seed)
     model, _ = restore_checkpoint(state, cfg, corpus, vocab)
@@ -280,7 +297,11 @@ def evaluate_saved_run(run_dir):
     # the model holds the parameters and the probe reads only the eval
     # images, so neither the state nor the training images stay alive
     del state, corpus
-    return evaluate_run(model, vocab, cfg, eval_corpus, run_dir)
+    report = evaluate_run(model, vocab, cfg, eval_corpus, run_dir)
+    if summary is not None:
+        summary["eval"] = _eval_summary(report)
+        _write_run_report(run_dir, summary)
+    return report
 
 
 def load_run_report(run_dir):

@@ -12,11 +12,17 @@ object names.  The generators are pure functions of that material and an
 rng, and build an example from any material `task_source` returns.
 `synth_dataset` keys each example's rng by (seed, kind, image_id, cycle) so
 output is deterministic and independent of generation order.
+
+The task vocabulary is defined here and nowhere else: the span-corruption
+sentinels (`MAX_SENTINELS` of them, the k-th spelled ``sentinel(k)``) and
+the yes/no answer words `YES` and `NO`.  The model's special tokens and its
+vocabulary are built from these names.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -46,8 +52,14 @@ EASY = "easy"
 HARD = "hard"
 
 MAX_SENTINELS = 16
+YES, NO = "yes", "no"
 COMPLETION_SPLIT = (0.25, 0.75)  # range of the prefix fraction of a completion
 ANDOR_K = (2, 3)  # names in an and/or question
+
+
+def sentinel(k):
+    """The marker of the ``k``-th masked span, as in T5's span corruption."""
+    return f"<extra_{k}>"
 
 
 class NoNounFound(ValueError):
@@ -209,9 +221,9 @@ def synth_itm(record, pool, lexicon, cfg, rng):
     caption = normalize_caption(record.caption)
     meta = {"policy": cfg.policy}
     if rng.random() < cfg.yes_no_balance:
-        text, target = caption, "yes"
+        text, target = caption, YES
     else:
-        target = "no"
+        target = NO
         text = None
         if cfg.policy == HARD:
             try:
@@ -245,8 +257,8 @@ def _geometric(rng, mean):
 def synth_mlm(record, cfg, rng):
     """Span corruption: mask ~mask_rate of tokens with sentinel markers.
 
-    Prompt is the caption with each masked span replaced by <extra_k>; target
-    concatenates the sentinels with the tokens they hid.  The caption has at
+    Prompt is the caption with the k-th masked span replaced by
+    ``sentinel(k)``; target concatenates the sentinels with the tokens they hid.  The caption has at
     least 4 tokens, so the first span always fits.
     """
     toks = normalize_caption(record.caption).split()
@@ -287,9 +299,8 @@ def synth_mlm(record, cfg, rng):
     cursor = 0
     for k, (s, length) in enumerate(spans):
         prompt_toks.extend(toks[cursor:s])
-        sentinel = f"<extra_{k}>"
-        prompt_toks.append(sentinel)
-        target_toks.append(sentinel)
+        prompt_toks.append(sentinel(k))
+        target_toks.append(sentinel(k))
         target_toks.extend(toks[s : s + length])
         cursor = s + length
     prompt_toks.extend(toks[cursor:])
@@ -329,9 +340,9 @@ def distractor_names(corpus, image_id, policy):
 def synth_oa_exists(image_id, positives, distractors, cfg, rng):
     """'does X exist?' with a positive or a policy-drawn absent object."""
     if rng.random() < cfg.yes_no_balance:
-        name, target = positives[rng.randrange(len(positives))], "yes"
+        name, target = positives[rng.randrange(len(positives))], YES
     else:
-        name, target = distractors[rng.randrange(len(distractors))], "no"
+        name, target = distractors[rng.randrange(len(distractors))], NO
     return TaskExample(
         image_id=image_id,
         kind=TaskKind.OA_EXISTS,
@@ -374,7 +385,7 @@ def synth_oa_andor(image_id, positives, distractors, cfg, rng):
         image_id=image_id,
         kind=TaskKind.OA_ANDOR,
         prompt=f"does {_join_candidates(candidates, connective)} exist?",
-        target="yes" if truth else "no",
+        target=YES if truth else NO,
         meta={"policy": cfg.policy, "connective": connective, "candidate_objects": candidates},
     )
 
@@ -469,22 +480,28 @@ _GENERATORS = {
 
 
 def synth_dataset(corpus, kinds, count_per_kind, cfg, lexicon=None):
-    """Yield `count_per_kind` examples per kind, cycling the eligible images
-    in id order.
+    """An iterator over `count_per_kind` examples per kind, cycling the
+    eligible images in id order.
 
-    Each image's `task_source` material is computed once per kind.  Each
-    example's rng is keyed by (seed, kind, image_id, cycle), so the stream is
-    reproducible and insensitive to evaluation order.  Raises SynthesisError
-    when a kind has no eligible image at all.
+    Each image's `task_source` material is computed once per kind, for every
+    kind before the first example is made: a SynthesisError for a kind with
+    no eligible image at all is raised by this call, not by the iterator.
+    Each example's rng is keyed by (seed, kind, image_id, cycle), so the
+    stream is reproducible and insensitive to evaluation order.
     """
     hard_itm = cfg.policy == HARD and TaskKind.ITM in kinds
     if hard_itm and lexicon is None:
         raise SynthesisError(TaskKind.ITM, "hard policy needs a lexicon")
     pool = caption_pool(corpus) if TaskKind.ITM in kinds else None
-    for kind in kinds:
-        sources = _sources(corpus, kind, cfg, pool)
+    plan = [(kind, _sources(corpus, kind, cfg, pool)) for kind in kinds]
+    for kind, sources in plan:
         if not sources:
             raise SynthesisError(kind)
+    return _examples(plan, count_per_kind, cfg, lexicon, pool)
+
+
+def _examples(plan, count_per_kind, cfg, lexicon, pool):
+    for kind, sources in plan:
         generate = _GENERATORS[kind]
         for n in range(count_per_kind):
             image_id, material = sources[n % len(sources)]
@@ -496,7 +513,10 @@ def synth_dataset(corpus, kinds, count_per_kind, cfg, lexicon=None):
 
 
 def write_task_files(corpus, kinds, count_per_kind, cfg, out_dir, lexicon=None):
-    """Write one `<kind>.<policy>.jsonl` per kind plus synth_manifest.json."""
+    """Write one `<kind>.<policy>.jsonl` per kind plus synth_manifest.json.
+    A kind that cannot be synthesized is refused before the first file is
+    written, so a refusal leaves ``out_dir`` as it was."""
+    stream = synth_dataset(corpus, kinds, count_per_kind, cfg, lexicon)
     os.makedirs(out_dir, exist_ok=True)
     counts = {}
     fallbacks = {}
@@ -506,7 +526,7 @@ def write_task_files(corpus, kinds, count_per_kind, cfg, out_dir, lexicon=None):
         n = 0
         n_fallback = 0
         with open(path, "w") as f:
-            for ex in synth_dataset(corpus, [kind], count_per_kind, cfg, lexicon):
+            for ex in itertools.islice(stream, count_per_kind):
                 f.write(ex.to_json() + "\n")
                 n += 1
                 if ex.meta.get("fallback"):

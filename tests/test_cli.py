@@ -426,6 +426,23 @@ def test_config_refused_before_anything_runs(micro_run, tmp_path, capsys, monkey
     assert not os.path.exists(fresh)
 
 
+@pytest.mark.parametrize("text", ["seed = 3\n", "[run]\nseed = 3\n[run]\nseed = 4\n"],
+                         ids=["no_section_header", "repeated_section"])
+def test_config_syntax_error_names_the_file(micro_run, tmp_path, capsys, text):
+    ini = tmp_path / "bad.ini"
+    ini.write_text(text)
+    out, _ = _copy_of_run(micro_run, tmp_path)
+    echo = os.path.join(out, "config.ini")
+    shutil.copy(ini, echo)
+    for argv, path in ((["train", "--config", str(ini)], str(ini)),
+                       (["ablate", "--grid", "paper-table1", "--config", str(ini)], str(ini)),
+                       (["eval", "--run", out], echo)):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and repr(path) in err and "<string>" not in err
+        assert "Traceback" not in err
+
+
 def _dir_bytes(root):
     """Relative path -> bytes of every file under ``root``."""
     out = {}
@@ -534,10 +551,12 @@ def _repeat_a_vocab_token(path):
     ("checkpoint.mpt", _edit_checkpoint_header(lambda h: h["config"].update(n_heads=0))),
     ("checkpoint.mpt", _edit_checkpoint_header(lambda h: h["arrays"][0].update(shape=[999, 999]))),
     ("checkpoint.mpt", _edit_checkpoint_header(lambda h: h["arrays"][0].update(shape="x"))),
+    ("run.json", _write(b"{not json")),
+    ("run.json", _write(b"[1]")),
 ], ids=["vocab-not-json", "vocab-object", "vocab-no-specials", "vocab-repeated",
         "ckpt-short", "ckpt-no-digest", "ckpt-no-optimizer",
         "ckpt-unknown-config-key", "ckpt-n_heads-3", "ckpt-n_heads-0", "ckpt-shape",
-        "ckpt-shape-string"])
+        "ckpt-shape-string", "run-not-json", "run-array"])
 def test_eval_refuses_a_corrupt_run_file(micro_run, tmp_path, capsys, name, tamper):
     out, _ = _copy_of_run(micro_run, tmp_path)
     path = os.path.join(out, name)
@@ -768,6 +787,24 @@ def test_cli_synth_without_captions_names_kind(raw_annotations, capsys):
     assert "caption" in err
 
 
+def test_cli_synth_refused_leaves_out_dir_unchanged(raw_annotations, capsys):
+    tmp, classes, labels, captions = raw_annotations
+    corpus, tasks, fresh = str(tmp / "corpus"), str(tmp / "tasks"), str(tmp / "fresh")
+    assert main(["ingest", "--classes", str(classes), "--labels", str(labels),
+                 "--captions", str(captions), "--out", corpus]) == 0
+    synth = ["synth", "--corpus", corpus, "--policy", "hard"]
+    assert main([*synth, "--kinds", "caption,itm", "--count", "4", "--out", tasks]) == 0
+    before = _dir_bytes(tasks)
+    capsys.readouterr()
+    # neither image of the corpus can source a three-name oa_which question
+    for out in (tasks, fresh):
+        assert main([*synth, "--kinds", "caption,itm,oa_which", "--count", "9",
+                     "--out", out]) == 2
+        assert capsys.readouterr().err == "error: oa_which: no eligible images\n"
+    assert _dir_bytes(tasks) == before
+    assert not os.path.exists(fresh)
+
+
 def test_cli_train_rejects_a_corpus_without_pixels(tmp_path, capsys):
     src = str(tmp_path / "annotations")
     save_corpus(synth_corpus(seed=0, n_images=40, grid=2, cell=4), src)
@@ -787,21 +824,39 @@ def test_cli_train_rejects_a_corpus_without_pixels(tmp_path, capsys):
     assert not os.path.exists(os.path.join(out, "tasks"))  # rejected before synthesis
 
 
-def test_cli_train_eval_score(tmp_path, capsys):
-    out = str(tmp_path / "run")
-    ini = tmp_path / "run.ini"
+def test_cli_walk_ingest_synth_train_eval_score(raw_annotations, capsys):
+    tmp, classes, labels, captions = raw_annotations
+    corpus, tasks = str(tmp / "corpus"), str(tmp / "tasks")
+    assert main(["ingest", "--classes", str(classes), "--labels", str(labels),
+                 "--captions", str(captions), "--out", corpus]) == 0
+    assert {"class_descriptions.csv", "image_labels.csv", "captions.jsonl"} <= \
+        set(os.listdir(corpus))
+    assert main(["synth", "--corpus", corpus, "--kinds", "caption,oa_exists", "--count", "3",
+                 "--out", tasks]) == 0
+    assert sorted(os.listdir(tasks)) == ["caption.easy.jsonl", "oa_exists.easy.jsonl",
+                                         "synth_manifest.json"]
+    with open(os.path.join(tasks, "synth_manifest.json")) as f:
+        assert json.load(f)["counts"] == {"caption": 3, "oa_exists": 3}
+    # an ingested corpus holds no pixels, so training runs on a synthetic one
+    out = str(tmp / "run")
+    ini = tmp / "run.ini"
     ini.write_text(MICRO_INI.format(out=out))
     assert main(["train", "--config", str(ini)]) == 0
+    for name in ("config.ini", "vocab.json", "checkpoint.mpt", "metrics.jsonl", "eval.json",
+                 "predictions.jsonl", "run.json"):
+        assert os.path.exists(os.path.join(out, name)), name
     # echoed config is byte-equal to the input file
     with open(os.path.join(out, "config.ini")) as f:
         assert f.read() == ini.read_text()
     assert main(["eval", "--run", out]) == 0
-    report_path = str(tmp_path / "report.json")
+    with open(os.path.join(out, "predictions.jsonl")) as f:
+        n_predictions = len(f.readlines())
+    report_path = str(tmp / "report.json")
     rc = main(["score", "--predictions", os.path.join(out, "predictions.jsonl"),
-               "--truth", _truth_file(tmp_path, out), "--out", report_path])
+               "--truth", _truth_file(tmp, out), "--out", report_path])
     assert rc == 0
     assert "overall exact match" in capsys.readouterr().out
-    assert json.load(open(report_path))["overall"]["n_items"] > 0
+    assert json.load(open(report_path))["overall"]["n_items"] == n_predictions > 0
 
 
 def test_cli_eval_rewrites_the_same_results(micro_run, tmp_path, monkeypatch):
@@ -834,6 +889,32 @@ def test_cli_eval_rewrites_the_same_results(micro_run, tmp_path, monkeypatch):
         assert loads == [{"optimizer": False}]  # eval reads no Adam moments
         for n in names:
             assert open(os.path.join(out, n), "rb").read() == before[n], (per_kind, n)
+
+
+def test_cli_eval_rewrites_the_eval_block_of_run_json(micro_run, tmp_path):
+    out, _ = _copy_of_run(micro_run, tmp_path)
+    echo, run_json = os.path.join(out, "config.ini"), os.path.join(out, "run.json")
+    with open(echo) as f:
+        text = f.read()
+    with open(echo, "w") as f:
+        f.write(text.replace("eval_count_per_kind = 5", "eval_count_per_kind = 12"))
+    with open(run_json) as f:
+        before = json.load(f)
+    assert main(["eval", "--run", out]) == 0
+    with open(os.path.join(out, "eval.json")) as f:
+        report = json.load(f)
+    with open(run_json) as f:
+        after = json.load(f)
+    assert report["overall"]["n_items"] == 3 * 12
+    assert after.pop("eval") == {"overall_exact_match": report["overall"]["exact_match"],
+                                 "per_task": report["per_task"],
+                                 "hidden_penalties": report["oa_list_hidden_penalties"]}
+    assert before.pop("eval")["per_task"]["caption"]["n"] == 5
+    assert after == before
+    # run.json marks a finished run: eval never creates it
+    os.remove(run_json)
+    assert main(["eval", "--run", out]) == 0
+    assert not os.path.exists(run_json)
 
 
 def test_cli_eval_refuses_a_run_without_eval_split_before_reading_it(micro_run, tmp_path,
