@@ -96,6 +96,24 @@ def _run_one(job):
     return name, seed, None, metrics
 
 
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def worker_pool(jobs):
+    """A pool of ``jobs`` fresh worker processes, each on one BLAS thread
+    unless the environment sets a count.  OpenBLAS reads its thread count
+    once, when numpy loads it, so a forked worker would keep the parent's
+    threads, which busy-wait against the other workers: the workers are
+    spawned, with the unset variables set to 1 while they start."""
+    unset = [var for var in _BLAS_THREAD_VARS if var not in os.environ]
+    os.environ.update(dict.fromkeys(unset, "1"))
+    try:
+        return multiprocessing.get_context("spawn").Pool(jobs)
+    finally:
+        for var in unset:
+            del os.environ[var]
+
+
 def run_grid(grid, base, out_root, seeds=(0, 1, 2), jobs=1, eval_kinds=None, log=None):
     """Execute a grid spec [(name, kinds, policy), ...].  Returns the summary
     structure that also lands in summary.json / summary.csv."""
@@ -113,7 +131,7 @@ def run_grid(grid, base, out_root, seeds=(0, 1, 2), jobs=1, eval_kinds=None, log
     say(f"{len(grid)} variants x {len(seeds)} seeds = {len(jobs_list)} runs, jobs={jobs}")
     results = []
     with contextlib.ExitStack() as stack:
-        run = stack.enter_context(multiprocessing.Pool(jobs)).imap if jobs > 1 else map
+        run = stack.enter_context(worker_pool(jobs)).imap if jobs > 1 else map
         for result in run(_run_one, jobs_list):  # grid order on both paths
             results.append(result)
             name, seed, err, _ = result

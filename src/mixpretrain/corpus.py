@@ -9,6 +9,7 @@ serializes to a directory that round-trips through the same parsers.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import functools
 import io
@@ -20,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import InputError
+from . import InputError, staged_dir
 
 CORPUS_FORMAT_VERSION = "2"
 
@@ -549,9 +550,13 @@ def synth_corpus(seed, n_images, object_vocab=None, grid=4, hidden_rate=0.0, cel
 # directory serialization
 
 def save_corpus(corpus, path, lexicon=None):
-    """Write a corpus directory: manifest + annotation files + raw f32 pixels."""
+    """Write a corpus directory: manifest + annotation files + raw f32 pixels.
+
+    A corpus saved over an earlier one must not read back the earlier one's
+    files: ``pixels/`` is replaced whole, and a lexicon or hidden-positives
+    file that this corpus does not have is removed.  Nothing else in
+    ``path`` is touched."""
     os.makedirs(path, exist_ok=True)
-    os.makedirs(os.path.join(path, "pixels"), exist_ok=True)
 
     with open(os.path.join(path, "class_descriptions.csv"), "w", newline="") as f:
         w = csv.writer(f)
@@ -570,28 +575,37 @@ def save_corpus(corpus, path, lexicon=None):
             for c in corpus.captions.get(image_id, []):
                 f.write(json.dumps({"image_id": c.image_id, "caption": c.caption}) + "\n")
 
+    lexicon_path = os.path.join(path, "lexicon.tsv")
     if lexicon is not None:
-        with open(os.path.join(path, "lexicon.tsv"), "w") as f:
+        with open(lexicon_path, "w") as f:
             for noun, related in lexicon.entries.items():
                 f.write(f"{noun}\t{','.join(related)}\n")
+    else:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(lexicon_path)
 
+    hidden_path = os.path.join(path, "hidden_positives.json")
     if corpus.hidden_positives:
-        with open(os.path.join(path, "hidden_positives.json"), "w") as f:
+        with open(hidden_path, "w") as f:
             json.dump(
                 {k: sorted(v) for k, v in sorted(corpus.hidden_positives.items())},
                 f, indent=0, sort_keys=True,
             )
+    else:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(hidden_path)
 
     n_pixels = 0
-    for image_id in corpus.image_ids():
-        rec = corpus.images[image_id]
-        if rec is None:
-            continue
-        n_pixels += 1
-        with open(os.path.join(path, "pixels", f"{image_id}.f32"), "wb") as f:
-            h, w_, c = rec.pixels.shape
-            f.write(np.asarray([h, w_, c], dtype="<u4").tobytes())
-            f.write(np.ascontiguousarray(rec.pixels, dtype="<f4").tobytes())
+    with staged_dir(os.path.join(path, "pixels")) as pixel_dir:
+        for image_id in corpus.image_ids():
+            rec = corpus.images[image_id]
+            if rec is None:
+                continue
+            n_pixels += 1
+            with open(os.path.join(pixel_dir, f"{image_id}.f32"), "wb") as f:
+                h, w_, c = rec.pixels.shape
+                f.write(np.asarray([h, w_, c], dtype="<u4").tobytes())
+                f.write(np.ascontiguousarray(rec.pixels, dtype="<f4").tobytes())
 
     manifest = {
         "format_version": CORPUS_FORMAT_VERSION,

@@ -344,8 +344,14 @@ def write_ground_truth(path, items):
 
 
 def _ground_truth_rows(path):
-    """Yield (line number, (id, answers, kind, hidden names)) per row."""
+    """Yield (line number, (id, answers, kind, hidden names)) per row.  A
+    repeated id is a ParseError, as in `read_predictions`: it would count
+    one prediction twice."""
+    seen = set()
     for n, obj in _jsonl_rows(path, ("id", "answers")):
+        if obj["id"] in seen:
+            raise ParseError(f"{path}:{n}: repeated id {obj['id']!r}")
+        seen.add(obj["id"])
         if not obj["answers"]:
             raise ParseError(f"{path}:{n}: answers is empty")
         yield n, (obj["id"], obj["answers"], obj.get("kind", "unknown"),

@@ -15,7 +15,6 @@ import collections
 import dataclasses
 import hashlib
 import json
-import os
 import struct
 from dataclasses import dataclass, field
 
@@ -440,84 +439,36 @@ class Model:
 # ---------------------------------------------------------------------------
 # training loop
 
-def train(model, schedule, datasets, vocab, opt, images=None, start_step=0,
-          metrics_path=None, checkpoint_path=None, checkpoint_every=0,
-          vocab_fingerprint=None, corpus_fingerprint=None, logged=()):
-    """Run schedule entries [start_step:] in order.  Returns metrics history:
-    per step its loss, the global gradient norm and the number of truncated
-    sequences in its batch.  The file at ``metrics_path`` is rewritten to
-    hold the records ``logged`` of earlier steps (see `read_metrics`), then
-    one line per step this call trains.
+def train(model, schedule, datasets, vocab, opt, images, after_step=None):
+    """Run every schedule entry in order.  Returns metrics history: per step
+    its loss, the global gradient norm and the number of truncated sequences
+    in its batch.  ``after_step(rec)``, when given, is called with each
+    step's record once its update is applied.
 
     ``datasets`` maps component name -> list of TaskExample; ``images`` maps
-    image_id -> pixel array (None for text-only models is unsupported here:
-    every task in this workbench is image-conditioned).  Periodic and final
-    checkpoints carry optimizer state so a resumed run is bitwise identical
-    to an uninterrupted one.
+    image_id -> pixel array.
     """
     limits = (model.cfg.max_prompt, model.cfg.max_target)
     history = []
-    mfile = open(metrics_path, "w") if metrics_path else None
-    try:
-        if mfile:
-            mfile.writelines(json.dumps(rec) + "\n" for rec in logged)
-        for entry in schedule:
-            if entry.step < start_step:
-                continue
-            examples = [datasets[entry.component][i] for i in entry.example_ids]
-            batch = make_batch(examples, vocab, limits, images=images)
-            model.zero_grads()
-            loss = model.forward_batch(batch)[1]
-            value = loss.item()
-            if not np.isfinite(value):
-                raise TrainingError(f"non-finite loss at step {entry.step} on task {entry.component}")
-            backward(loss)
-            # the loss holds the step's whole tape: free it before the update
-            # and the next forward pass, so that one tape is alive at a time
-            del loss
-            grad_norm = adam_step(model.parameters(), opt)
-            rec = {"step": entry.step, "task": entry.component, "loss": value,
-                   "grad_norm": grad_norm, "truncated": batch.truncated}
-            history.append(rec)
-            if mfile:
-                mfile.write(json.dumps(rec) + "\n")
-            if checkpoint_path and checkpoint_every and (entry.step + 1) % checkpoint_every == 0:
-                save_checkpoint(checkpoint_state(model, opt, entry.step + 1,
-                                                 vocab_fingerprint, corpus_fingerprint),
-                                checkpoint_path)
-    finally:
-        if mfile:
-            mfile.close()
-    if checkpoint_path:
-        last = schedule[-1].step + 1 if schedule else start_step
-        save_checkpoint(checkpoint_state(model, opt, last, vocab_fingerprint, corpus_fingerprint),
-                        checkpoint_path)
+    for entry in schedule:
+        examples = [datasets[entry.component][i] for i in entry.example_ids]
+        batch = make_batch(examples, vocab, limits, images=images)
+        model.zero_grads()
+        loss = model.forward_batch(batch)[1]
+        value = loss.item()
+        if not np.isfinite(value):
+            raise TrainingError(f"non-finite loss at step {entry.step} on task {entry.component}")
+        backward(loss)
+        # the loss holds the step's whole tape: free it before the update
+        # and the next forward pass, so that one tape is alive at a time
+        del loss
+        grad_norm = adam_step(model.parameters(), opt)
+        rec = {"step": entry.step, "task": entry.component, "loss": value,
+               "grad_norm": grad_norm, "truncated": batch.truncated}
+        history.append(rec)
+        if after_step is not None:
+            after_step(rec)
     return history
-
-
-def read_metrics(path, before_step):
-    """The records of the metrics log at ``path`` for steps before
-    ``before_step``, in file order, so that a resumed run does not log a
-    step twice; none if there is no log.  A partial last line, left by a
-    killed run, is dropped.  A complete line that is not a step record is a
-    ParseError naming ``path`` and the line."""
-    if not os.path.exists(path):
-        return []
-    kept = []
-    with open(path, "rb") as f:
-        for n, line in enumerate(f, 1):
-            if not line.endswith(b"\n"):
-                break
-            try:
-                rec = json.loads(line)
-                ok = isinstance(rec["step"], int) and isinstance(rec["loss"], (int, float))
-            except (ValueError, TypeError, KeyError):
-                ok = False
-            if not ok:
-                raise ParseError(f"{path}:{n}: not a step record")
-            if rec["step"] < before_step:
-                kept.append(rec)
-    return kept
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,11 @@
 held-out evaluation, all inside one run directory; and the one place that
 rebuilds a run from that directory, for ``--resume`` and ``eval`` alike.
 
+This module owns every file of a run directory.  ``model.train`` only runs
+the steps; the runner writes the metrics log, one line per step from the
+step hook, and the checkpoints: every ``checkpoint_every``-th step from the
+hook, and the final one once training returns.
+
 The split is at image level so no eval image contributes training examples.
 Eval questions are always synthesized with the easy policy: the training
 policy is the experimental variable, the probe stays fixed.
@@ -27,9 +32,10 @@ from .model import (
     Model,
     Vocab,
     build_vocab,
+    checkpoint_state,
     load_checkpoint,
-    read_metrics,
     restore_model,
+    save_checkpoint,
     train,
 )
 from .tasksynth import EASY, TaskKind, load_task_file, synth_dataset, write_task_files
@@ -160,6 +166,9 @@ def run_training(cfg: RunConfig, resume=False, log=None):
             state = load_checkpoint(ckpt_path)
             restored = restore_checkpoint(state, cfg, corpus, vocab)
             start_step = state.step
+            if start_step > cfg.schedule["total_steps"]:
+                raise ConfigError(f"[schedule] total_steps = {cfg.schedule['total_steps']} is "
+                                  f"below step {start_step} of the checkpoint {ckpt_path}")
             logged = read_metrics(os.path.join(run_dir, METRICS), start_step)
 
         # results of an earlier run must not pass for results of this config
@@ -183,12 +192,24 @@ def run_training(cfg: RunConfig, resume=False, log=None):
     schedule = build_schedule(cfg.mixture(), cfg.schedule_config(), sizes)
 
     images = {i: corpus.images[i].pixels for i in train_ids}
-    history = train(
-        model, schedule, datasets, vocab, opt, images=images, start_step=start_step,
-        metrics_path=os.path.join(run_dir, METRICS), logged=logged,
-        checkpoint_path=ckpt_path, checkpoint_every=cfg.train["checkpoint_every"],
-        vocab_fingerprint=vocab.fingerprint(), corpus_fingerprint=corpus.fingerprint(),
-    )
+    fingerprints = (vocab.fingerprint(), corpus.fingerprint())
+    every = cfg.train["checkpoint_every"]
+
+    def save(step):
+        # the state carries the Adam moments, so a resumed run is bitwise
+        # identical to an uninterrupted one
+        save_checkpoint(checkpoint_state(model, opt, step, *fingerprints), ckpt_path)
+
+    with open(os.path.join(run_dir, METRICS), "w") as metrics:
+        metrics.writelines(json.dumps(rec) + "\n" for rec in logged)
+
+        def after_step(rec):
+            metrics.write(json.dumps(rec) + "\n")
+            if every and (rec["step"] + 1) % every == 0:
+                save(rec["step"] + 1)
+
+        history = train(model, schedule[start_step:], datasets, vocab, opt, images, after_step)
+    save(len(schedule))
     last = history or logged  # a resume of a finished run trains no step
     final_loss = last[-1]["loss"] if last else None
     say(f"trained {len(history)} steps, final loss {final_loss}")
@@ -302,6 +323,31 @@ def evaluate_saved_run(run_dir):
         summary["eval"] = _eval_summary(report)
         _write_run_report(run_dir, summary)
     return report
+
+
+def read_metrics(path, before_step):
+    """The records of the metrics log at ``path`` for steps before
+    ``before_step``, in file order, so that a resumed run does not log a
+    step twice; none if there is no log.  A partial last line, left by a
+    killed run, is dropped.  A complete line that is not a step record is a
+    ParseError naming ``path`` and the line."""
+    if not os.path.exists(path):
+        return []
+    kept = []
+    with open(path, "rb") as f:
+        for n, line in enumerate(f, 1):
+            if not line.endswith(b"\n"):
+                break
+            try:
+                rec = json.loads(line)
+                ok = isinstance(rec["step"], int) and isinstance(rec["loss"], (int, float))
+            except (ValueError, TypeError, KeyError):
+                ok = False
+            if not ok:
+                raise ParseError(f"{path}:{n}: not a step record")
+            if rec["step"] < before_step:
+                kept.append(rec)
+    return kept
 
 
 def load_run_report(run_dir):

@@ -448,10 +448,10 @@ def test_criterion_9_checkpoint_integrity(tmp_path):
         part = Model(cfg, seed=seed)
         opt_part = AdamState(lr=1e-3)
         mid = str(tmp_path / f"mid_{seed}.mpt")
-        train(part, schedule[:4], datasets, vocab, opt_part, images=images,
-              checkpoint_path=mid)
+        train(part, schedule[:4], datasets, vocab, opt_part, images=images)
+        save_checkpoint(checkpoint_state(part, opt_part, 4, vocab.fingerprint(), "c"), mid)
         model2, opt2 = restore_model(load_checkpoint(mid))
-        train(model2, schedule, datasets, vocab, opt2, images=images, start_step=4)
+        train(model2, schedule[4:], datasets, vocab, opt2, images=images)
         for name, p in full.params.items():
             if p.data.tobytes() != model2.params[name].data.tobytes():
                 resume_ok = False

@@ -331,15 +331,50 @@ def test_resume_after_crash_logs_each_step_once(micro_run, tmp_path, monkeypatch
         assert main(["train", "--config", str(ini)]) == 3
     with open(os.path.join(out, "metrics.jsonl")) as f:
         assert len(f.readlines()) == 15
+    # the last periodic checkpoint before the crash
+    assert M.load_checkpoint(os.path.join(out, "checkpoint.mpt")).step == 10
     assert main(["train", "--config", str(ini), "--resume"]) == 0
     with open(os.path.join(out, "metrics.jsonl")) as f:
         resumed = f.read()
     assert [json.loads(line)["step"] for line in resumed.splitlines()] == list(range(25))
-    cfg, _ = micro_run  # the same run without the crash logs the same bytes
+    cfg, _ = micro_run  # the same run without the crash logs and saves the same bytes
     with open(os.path.join(cfg.out, "metrics.jsonl")) as f:
         assert resumed == f.read()
+    with open(os.path.join(cfg.out, "checkpoint.mpt"), "rb") as a, \
+         open(os.path.join(out, "checkpoint.mpt"), "rb") as b:
+        assert a.read() == b.read()
     with open(os.path.join(cfg.out, "run.json")) as a, open(os.path.join(out, "run.json")) as b:
         assert json.load(a)["task_steps"] == json.load(b)["task_steps"]
+
+
+def test_run_metrics_file_is_the_train_history(tmp_path, monkeypatch):
+    from mixpretrain import runner
+
+    real = runner.train
+    histories = []
+
+    def recording(*args, **kwargs):
+        histories.append(real(*args, **kwargs))
+        return histories[-1]
+
+    monkeypatch.setattr(runner, "train", recording)
+    cfg = micro_cfg(str(tmp_path / "run"))
+    run_training(cfg)
+    hist, = histories
+    lines = open(os.path.join(cfg.out, "metrics.jsonl")).read().strip().splitlines()
+    assert len(lines) == len(hist) == 25
+    assert [json.loads(line) for line in lines] == hist
+
+
+def test_resume_refuses_fewer_total_steps_than_the_checkpoint(micro_run, tmp_path, capsys):
+    out, ini = _copy_of_run(micro_run, tmp_path, "total_steps = 25", "total_steps = 20")
+    before = _dir_bytes(out)
+    assert main(["train", "--config", str(ini), "--resume"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: [schedule] total_steps = 20 ") and "step 25" in err
+    assert "Traceback" not in err
+    # refused before anything in the run directory changed
+    assert _dir_bytes(out) == before
 
 
 
@@ -1155,6 +1190,27 @@ def test_grid_parallel_matches_serial(micro_grid, tmp_path):
     run_grid(grid, base, out2, seeds=(0, 1), jobs=1, eval_kinds=["oa_exists"],
              log=logged.append)
     assert logged[1:] == cells
+
+
+def test_grid_workers_run_on_one_blas_thread(micro_grid, tmp_path, monkeypatch):
+    from test_nnkernel import _openblas_threads
+
+    out, base, grid, summary = micro_grid
+    blas_vars = ["OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"]
+    for var in blas_vars:
+        monkeypatch.delenv(var, raising=False)
+    with ablate.worker_pool(2) as pool:
+        seen = pool.map(os.getenv, blas_vars)
+        threads = pool.apply(_openblas_threads)  # None where numpy bundles no OpenBLAS
+    assert seen == ["1", "1"] and threads in (1, None)
+    assert not any(var in os.environ for var in blas_vars)  # only the workers had them
+    s2 = run_grid(grid, base, str(tmp_path / "par"), seeds=(0, 1), jobs=2,
+                  eval_kinds=["oa_exists"])
+    assert s2["variants"] == summary["variants"]
+    # a count the user sets is kept
+    monkeypatch.setenv("OMP_NUM_THREADS", "2")
+    with ablate.worker_pool(2) as pool:
+        assert pool.map(os.getenv, blas_vars) == ["1", "2"]
 
 
 def test_grid_failed_variant_marks_row(micro_grid, tmp_path, monkeypatch):

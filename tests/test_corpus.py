@@ -379,6 +379,36 @@ def test_save_load_round_trip(tmp_path, hidden_corpus, lexicon):
     assert _dir_digest(str(d1)) == _dir_digest(str(d2))
 
 
+def test_a_corpus_saved_over_another_reads_back_as_itself(tmp_path, lexicon):
+    d = tmp_path / "c"
+    synthetic = C.synth_corpus(seed=13, n_images=6, hidden_rate=0.5)
+    assert synthetic.hidden_positives
+    C.save_corpus(synthetic, str(d), lexicon=lexicon)
+    (d / "notes.txt").write_text("not a corpus file")
+    annotated = build_corpus(
+        CLASSES, labels=[ImageLabel(f"img{i}", "/c/d", "positive", "human") for i in range(3)])
+    C.save_corpus(annotated, str(d))
+
+    loaded, lex = C.load_corpus(str(d))
+    assert lex is None
+    assert loaded.image_ids() == annotated.image_ids()
+    assert all(loaded.images[i] is None for i in loaded.image_ids())
+    assert loaded.hidden_positives == {}
+    assert loaded.fingerprint() == annotated.fingerprint()
+    # the earlier corpus's files are gone; a file that is not a corpus's stays
+    assert sorted(os.listdir(d)) == [
+        "captions.jsonl", "class_descriptions.csv", "image_labels.csv", "manifest.json",
+        "notes.txt", "pixels"]
+    assert os.listdir(d / "pixels") == []
+
+    # and the synthetic corpus saved back over it reads back whole
+    C.save_corpus(synthetic, str(d), lexicon=lexicon)
+    loaded, lex = C.load_corpus(str(d))
+    assert lex.entries == lexicon.entries
+    assert loaded.fingerprint() == synthetic.fingerprint()
+    assert all(loaded.images[i] == synthetic.images[i] for i in synthetic.image_ids())
+
+
 def test_load_rejects_future_format(tmp_path, small_corpus):
     # "1" is the retired format that still carried box_labels.csv
     d = tmp_path / "c"

@@ -2,12 +2,13 @@ import json
 import math
 import os
 import random
+import re
 import warnings
 
 import numpy as np
 import pytest
 
-from mixpretrain.corpus import synth_corpus
+from mixpretrain.corpus import ParseError, synth_corpus
 from mixpretrain.evalkit import (
     EvalItem,
     cider,
@@ -465,6 +466,20 @@ def test_failed_predictions_write_keeps_previous(tmp_path):
         write_predictions(path, ["e0", "e1"], predictions())
     assert path.read_bytes() == before
     assert os.listdir(tmp_path) == ["pred.jsonl"]
+
+
+def test_score_files_refuses_a_repeated_truth_id(tmp_path, capsys):
+    from mixpretrain.cli import main
+
+    pred_path = tmp_path / "pred.jsonl"
+    gt_path = tmp_path / "gt.jsonl"
+    write_predictions(pred_path, ["a"], ["yes"])
+    write_ground_truth(gt_path, [("a", ["yes"], "oa_exists", ()),
+                                 ("a", ["no"], "oa_exists", ())])
+    with pytest.raises(ParseError, match=f"^{re.escape(str(gt_path))}:2: repeated id 'a'$"):
+        score_files(pred_path, gt_path)
+    assert main(["score", "--predictions", str(pred_path), "--truth", str(gt_path)]) == 2
+    assert capsys.readouterr().err == f"error: {gt_path}:2: repeated id 'a'\n"
 
 
 def test_score_files_missing_prediction(tmp_path):

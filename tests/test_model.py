@@ -345,17 +345,22 @@ def _train_setup(total_steps, seed=0):
     return corp, datasets, sched, vocab, model, images
 
 
-def test_train_history_and_metrics_file(tmp_path):
+def test_train_history_and_metrics_file():
+    # the step hook is what the runner writes metrics.jsonl from
+    # (tests/test_cli.py::test_run_metrics_file_is_the_train_history)
     corp, datasets, sched, vocab, model, images = _train_setup(12)
-    mpath = str(tmp_path / "metrics.jsonl")
-    hist = train(model, sched, datasets, vocab, AdamState(lr=1e-3), images=images,
-                 metrics_path=mpath)
+    opt = AdamState(lr=1e-3)
+    hooked = []
+
+    def after_step(rec):
+        hooked.append((opt.step, rec))
+
+    hist = train(model, sched, datasets, vocab, opt, images=images, after_step=after_step)
     assert len(hist) == 12
     assert [h["step"] for h in hist] == list(range(12))
     assert all(h["task"] == "caption" and np.isfinite(h["loss"]) for h in hist)
-    lines = open(mpath).read().strip().splitlines()
-    assert len(lines) == 12
-    assert json.loads(lines[3]) == hist[3]
+    # one call per step, each once the step's update is applied
+    assert hooked == [(h["step"] + 1, h) for h in hist]
 
 
 def test_train_frees_each_steps_tape(monkeypatch):
@@ -406,12 +411,13 @@ def test_train_resume_bitwise(tmp_path):
     train(model_a, sched, datasets, vocab, AdamState(lr=1e-3), images=images)
 
     corp, datasets, sched, vocab, model_b, images = _train_setup(n, seed=5)
-    train(model_b, sched[:k], datasets, vocab, AdamState(lr=1e-3), images=images,
-          checkpoint_path=ck)
+    opt_b = AdamState(lr=1e-3)
+    train(model_b, sched[:k], datasets, vocab, opt_b, images=images)
+    save_checkpoint(checkpoint_state(model_b, opt_b, k), ck)
     state = load_checkpoint(ck)
     assert state.step == k
     model_c, opt_c = restore_model(state)
-    train(model_c, sched, datasets, vocab, opt_c, images=images, start_step=state.step)
+    train(model_c, sched[state.step:], datasets, vocab, opt_c, images=images)
 
     for name in model_a.params:
         assert model_a.params[name].data.tobytes() == model_c.params[name].data.tobytes(), name
