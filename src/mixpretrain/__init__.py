@@ -6,7 +6,9 @@ and evaluates generated text with open-vocabulary exact match and CIDEr.
 """
 
 import contextlib
+import hashlib
 import os
+import random
 import shutil
 
 __version__ = "0.1.0"
@@ -17,6 +19,14 @@ class InputError(ValueError):
     annotation, corpus, vocab, checkpoint, metrics or scoring file.  The
     message names the file or config section at fault.  The CLI exits 2 on
     it; any other exception but a runtime training fault is a bug."""
+
+
+def keyed_rng(*parts):
+    """A ``random.Random`` seeded from the blake2b digest of ``parts`` joined
+    by "|": the same parts give the same stream, whatever else was drawn
+    before."""
+    digest = hashlib.blake2b("|".join(map(str, parts)).encode(), digest_size=8).digest()
+    return random.Random(int.from_bytes(digest, "big"))
 
 
 @contextlib.contextmanager

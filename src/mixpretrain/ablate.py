@@ -1,11 +1,14 @@
 """Ablation grids: train one model per (mixture variant, seed), score every
 variant against the same held-out probe questions, aggregate mean +/- std.
 
-Variants of a grid differ only in which task kinds are mixed into training
-and in the negative-sampling policy; corpus, model size, step budget, and
-the probe set are shared.  Completed runs are detected by their echoed
-config and reused, so a finished grid can be re-aggregated without
-retraining.
+A grid is its variants and its probe, the eval kinds every cell answers.
+Variants differ only in which task kinds are mixed into training, with equal
+weights, and in the negative-sampling policy; corpus, model size, step
+budget, and the probe are shared.  The grid sets ``[mixture] weights`` and
+``[train] eval_kinds`` for every cell, so a base config may set neither, and
+each seed's probe is built before any directory is created.  Completed runs
+are detected by their echoed config and reused, so a finished grid can be
+re-aggregated without retraining.
 """
 
 from __future__ import annotations
@@ -20,7 +23,8 @@ import traceback
 
 from . import atomic_write, tasksynth
 from .config import derive_config
-from .runner import load_run_report, require_eval_split, run_complete, run_training
+from .corpus import ConfigError
+from .runner import load_run_report, load_split, require_eval_split, run_complete, run_training
 from .tasksynth import EASY, HARD, KIND_NAMES, TaskKind
 
 # kind-name lists in TaskKind order: the object-aware list task is split from
@@ -46,7 +50,8 @@ TABLE1 = [
 TABLE2 = [(f"{kind}_{policy}", [kind], policy)
           for kind in OA_QUESTIONS for policy in (EASY, HARD)]
 
-GRIDS = {"paper-table1": TABLE1, "paper-table2": TABLE2}
+# grid name -> (variants, probe kinds)
+GRIDS = {"paper-table1": (TABLE1, KIND_NAMES), "paper-table2": (TABLE2, OA_QUESTIONS)}
 
 ERROR_FILE = "error.txt"  # a failed cell's traceback, in its run directory
 
@@ -114,21 +119,28 @@ def worker_pool(jobs):
             del os.environ[var]
 
 
-def run_grid(grid, base, out_root, seeds=(0, 1, 2), jobs=1, eval_kinds=None, log=None):
-    """Execute a grid spec [(name, kinds, policy), ...].  Returns the summary
-    structure that also lands in summary.json / summary.csv."""
+def run_grid(grid, base, out_root, seeds=(0, 1, 2), jobs=1, log=None):
+    """Execute a grid: a name in GRIDS, or a pair ([(name, kinds, policy),
+    ...], probe kinds).  Returns the summary structure that also lands in
+    summary.json / summary.csv."""
     say = log or (lambda msg: None)
-    if isinstance(grid, str):
-        grid = GRIDS[grid]
-    eval_kinds = list(eval_kinds) if eval_kinds else KIND_NAMES
+    table, probe = GRIDS[grid] if isinstance(grid, str) else grid
     require_eval_split(base, "the grid's base config")  # every cell is scored
-    os.makedirs(out_root, exist_ok=True)
-
+    owned = [key for key, value in (("[mixture] weights", base.weights),
+                                    ("[train] eval_kinds", base.train["eval_kinds"])) if value]
+    if owned:
+        raise ConfigError(f"the grid's base config sets {', '.join(owned)}, "
+                          "which the grid sets for every cell")
     jobs_list = [
-        (name, seed, variant_config(base, name, kinds, policy, seed, out_root, eval_kinds))
-        for name, kinds, policy in grid for seed in seeds
+        (name, seed, variant_config(base, name, kinds, policy, seed, out_root, probe))
+        for name, kinds, policy in table for seed in seeds
     ]
-    say(f"{len(grid)} variants x {len(seeds)} seeds = {len(jobs_list)} runs, jobs={jobs}")
+    # refuse a probe the eval images cannot supply before any directory
+    # exists; the cells of a seed share their eval images and probe
+    for cfg in {seed: cfg for _, seed, cfg in jobs_list}.values():
+        load_split(cfg)
+    os.makedirs(out_root, exist_ok=True)
+    say(f"{len(table)} variants x {len(seeds)} seeds = {len(jobs_list)} runs, jobs={jobs}")
     results = []
     with contextlib.ExitStack() as stack:
         run = stack.enter_context(worker_pool(jobs)).imap if jobs > 1 else map
@@ -138,7 +150,7 @@ def run_grid(grid, base, out_root, seeds=(0, 1, 2), jobs=1, eval_kinds=None, log
             say(f"  {name} seed{seed}: {'FAILED ' + err if err else 'done'}")
 
     variants = {}
-    for (name, kinds, policy) in grid:
+    for (name, kinds, policy) in table:
         variants[name] = {"kinds": list(kinds), "policy": policy,
                           "seeds": {}, "status": "ok", "aggregate": {}}
     for name, seed, err, metrics in results:
@@ -154,10 +166,10 @@ def run_grid(grid, base, out_root, seeds=(0, 1, 2), jobs=1, eval_kinds=None, log
                                  "std": statistics.pstdev(vals) if len(vals) > 1 else 0.0}
 
     summary = {"grid": [[n, v["kinds"], v["policy"]] for n, v in variants.items()],
-               "seeds": list(seeds), "eval_kinds": eval_kinds, "variants": variants}
+               "seeds": list(seeds), "eval_kinds": list(probe), "variants": variants}
     with atomic_write(os.path.join(out_root, "summary.json")) as f:
         json.dump(summary, f, sort_keys=True, indent=2)
-    _write_csv(grid, variants, out_root)
+    _write_csv(table, variants, out_root)
     return summary
 
 

@@ -25,7 +25,7 @@ import os
 import sys
 
 from . import InputError, __version__, atomic_write, load_bundled_lexicon
-from .ablate import GRIDS, OA_QUESTIONS, easy_hard_matrix, run_grid, write_easy_hard_csv
+from .ablate import GRIDS, easy_hard_matrix, run_grid, write_easy_hard_csv
 from .config import (
     default_config_text,
     derive_config,
@@ -161,9 +161,7 @@ def cmd_ablate(args):
     base = _base_config(args.config)
     out = _under_root(args.out, os.path.join("ablate", args.grid))
     seeds = tuple(range(args.seeds))
-    eval_kinds = OA_QUESTIONS if args.grid == "paper-table2" else None
-    summary = run_grid(args.grid, base, out, seeds=seeds, jobs=args.jobs,
-                       eval_kinds=eval_kinds, log=print)
+    summary = run_grid(args.grid, base, out, seeds=seeds, jobs=args.jobs, log=print)
     failed = [n for n, v in summary["variants"].items() if v["status"] != "ok"]
     for name, v in summary["variants"].items():
         agg = v["aggregate"].get("oa_em") or v["aggregate"].get("overall_em")

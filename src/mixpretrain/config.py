@@ -149,6 +149,14 @@ def _sections(cfg):
     }
 
 
+def changed_keys(old, new):
+    """The ``[section] key`` names whose values differ between two
+    RunConfigs, in schema order."""
+    a, b = _sections(old), _sections(new)
+    return [f"[{sec}] {key}" for sec in _SCHEMA for key in _SCHEMA[sec]
+            if a[sec][key] != b[sec][key]]
+
+
 def _defaults():
     return {sec: {k: v for k, (_, v) in keys.items()} for sec, keys in _SCHEMA.items()}
 

@@ -8,14 +8,13 @@ without replacement.  Total step count never depends on component count.
 
 from __future__ import annotations
 
-import hashlib
 import math
 import random
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import InputError
+from . import InputError, keyed_rng
 
 
 class ScheduleError(InputError):
@@ -68,11 +67,6 @@ def sample_component(spec, rng):
     return len(spec.weights) - 1  # guard against fp roundoff on the last edge
 
 
-def _component_rng(seed, name):
-    digest = hashlib.blake2b(f"{seed}|{name}".encode(), digest_size=8).digest()
-    return random.Random(int.from_bytes(digest, "big"))
-
-
 class _EpochSampler:
     """Without-replacement id stream; reshuffles on exhaustion."""
 
@@ -112,7 +106,7 @@ def build_schedule(spec, cfg, sizes):
         if sizes.get(name, 0) < 1:
             raise ScheduleError(f"component {name!r} has an empty dataset")
     pick_rng = random.Random(cfg.seed)
-    samplers = {n: _EpochSampler(sizes[n], _component_rng(cfg.seed, n)) for n in spec.names}
+    samplers = {n: _EpochSampler(sizes[n], keyed_rng(cfg.seed, n)) for n in spec.names}
     entries = []
     for step in range(cfg.total_steps):
         name = spec.names[sample_component(spec, pick_rng)]

@@ -8,8 +8,12 @@ step hook, and the checkpoints: every ``checkpoint_every``-th step from the
 hook, and the final one once training returns.
 
 The split is at image level so no eval image contributes training examples.
-Eval questions are always synthesized with the easy policy: the training
-policy is the experimental variable, the probe stays fixed.
+Set-up builds the eval probe once, right after the split, so a probe the
+eval images cannot supply is refused before the run directory changes; every
+scorer reads the probe it is handed.  Eval questions are always synthesized
+with the easy policy: the training policy is the experimental variable, the
+probe stays fixed.  A resume refuses a config that trains differently from
+the echoed one, and ``eval`` a checkpoint not at ``total_steps``.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ import random
 import time
 
 from . import atomic_write, load_bundled_lexicon, staged_dir
-from .config import RunConfig, load_run_config
+from .config import RunConfig, changed_keys, load_run_config
 from .corpus import ConfigError, ParseError, load_corpus, read_input, read_json, synth_corpus
 from .evalkit import evaluate, write_predictions
 from .mixture import build_schedule
@@ -38,7 +42,14 @@ from .model import (
     save_checkpoint,
     train,
 )
-from .tasksynth import EASY, TaskKind, load_task_file, synth_dataset, write_task_files
+from .tasksynth import (
+    EASY,
+    SynthesisError,
+    TaskKind,
+    load_task_file,
+    synth_dataset,
+    write_task_files,
+)
 
 CHECKPOINT = "checkpoint.mpt"
 EVAL_REPORT = "eval.json"
@@ -47,6 +58,12 @@ RUN_REPORT = "run.json"
 CONFIG_ECHO = "config.ini"
 VOCAB = "vocab.json"
 METRICS = "metrics.jsonl"
+
+# the keys a resume may change: where the run lives, how far it goes (never
+# below the checkpoint's step), how often it saves, and the probe, which
+# reads the trained model but feeds nothing back into training
+RESUMABLE_KEYS = {"[run] out", "[schedule] total_steps", "[train] checkpoint_every",
+                  "[train] eval_kinds", "[train] eval_count_per_kind", "[train] eval_batch"}
 
 
 def split_image_ids(ids, fraction, seed):
@@ -86,6 +103,18 @@ def _load_or_synth_corpus(cfg):
     corpus = synth_corpus(seed=cfg.seed, n_images=c["n_images"], grid=c["grid"],
                           hidden_rate=c["hidden_rate"], cell=c["cell"])
     return corpus, load_bundled_lexicon()
+
+
+def load_split(cfg):
+    """(corpus, lexicon, train_ids, eval_corpus, probe) of a run: the corpus
+    split at image level, and the eval probe on the eval images.  Without an
+    eval split, ``eval_corpus`` and ``probe`` are None."""
+    corpus, lexicon = _load_or_synth_corpus(cfg)
+    train_ids, eval_ids = split_image_ids(corpus.image_ids(), cfg.eval_split, cfg.seed)
+    if not eval_ids:
+        return corpus, lexicon, train_ids, None, None
+    eval_corpus = corpus.subset(eval_ids)
+    return corpus, lexicon, train_ids, eval_corpus, eval_questions(cfg, eval_corpus)
 
 
 def require_eval_split(cfg, what):
@@ -139,11 +168,10 @@ def run_training(cfg: RunConfig, resume=False, log=None):
     def stage_done(name):
         stage_ends.append((name, time.perf_counter() - t0))
 
-    corpus, lexicon = _load_or_synth_corpus(cfg)
-    train_ids, eval_ids = split_image_ids(corpus.image_ids(), cfg.eval_split, cfg.seed)
+    corpus, lexicon, train_ids, eval_corpus, probe = load_split(cfg)
     train_corpus = corpus.subset(train_ids)
-    eval_corpus = corpus.subset(eval_ids) if eval_ids else None
-    say(f"corpus: {len(train_ids)} train / {len(eval_ids)} eval images")
+    n_eval = len(eval_corpus.image_ids()) if eval_corpus else 0
+    say(f"corpus: {len(train_ids)} train / {n_eval} eval images")
     stage_done("corpus")
 
     kinds = [TaskKind(k) for k in cfg.kinds]
@@ -169,6 +197,13 @@ def run_training(cfg: RunConfig, resume=False, log=None):
             if start_step > cfg.schedule["total_steps"]:
                 raise ConfigError(f"[schedule] total_steps = {cfg.schedule['total_steps']} is "
                                   f"below step {start_step} of the checkpoint {ckpt_path}")
+            echo = os.path.join(run_dir, CONFIG_ECHO)
+            changed = [k for k in changed_keys(load_run_config(echo), cfg)
+                       if k not in RESUMABLE_KEYS]
+            if changed:
+                raise ConfigError(f"{', '.join(changed)}: differ from {echo}, the config "
+                                  "that trained the checkpoint; a resume continues a run "
+                                  "under its own config")
             logged = read_metrics(os.path.join(run_dir, METRICS), start_step)
 
         # results of an earlier run must not pass for results of this config
@@ -223,7 +258,7 @@ def run_training(cfg: RunConfig, resume=False, log=None):
         "task_steps": task_steps,
         "final_loss": final_loss,
         "n_train_images": len(train_ids),
-        "n_eval_images": len(eval_ids),
+        "n_eval_images": n_eval,
         "kinds": cfg.kinds,
         "policy": cfg.tasks["policy"],
         "seed": cfg.seed,
@@ -233,8 +268,9 @@ def run_training(cfg: RunConfig, resume=False, log=None):
         "steps_per_second": None,
     }
 
-    if eval_corpus is not None:
-        report = evaluate_run(model, vocab, cfg, eval_corpus, run_dir)
+    if probe is not None:
+        report = evaluate_run(model, vocab, probe, eval_corpus, cfg.train["eval_batch"],
+                              run_dir)
         summary["eval"] = _eval_summary(report)
         say(f"eval exact match {report.overall_exact_match:.3f}")
     stage_done("eval")
@@ -274,19 +310,25 @@ def _eval_summary(report):
 
 
 def eval_questions(cfg, eval_corpus):
-    """Probe set on eval images, easy policy.  ``eval_kinds`` makes the probe
-    independent of the training mixture, so ablation variants trained on
-    different kinds still answer the same questions."""
+    """The eval probe: questions on the eval images, easy policy.
+    ``eval_kinds`` makes the probe independent of the training mixture, so
+    ablation variants trained on different kinds still answer the same
+    questions.  A kind the eval images cannot supply is a ConfigError that
+    names the probe."""
     kinds = [TaskKind(k) for k in (cfg.train["eval_kinds"] or cfg.kinds)]
-    return list(synth_dataset(eval_corpus, kinds, cfg.train["eval_count_per_kind"],
-                              cfg.synth_config(EASY)))
+    try:
+        return list(synth_dataset(eval_corpus, kinds, cfg.train["eval_count_per_kind"],
+                                  cfg.synth_config(EASY)))
+    except SynthesisError as e:
+        n = len(eval_corpus.image_ids())
+        raise ConfigError(f"eval probe on {n} eval image{'' if n == 1 else 's'}: {e}") from None
 
 
-def evaluate_run(model, vocab, cfg, eval_corpus, run_dir):
-    examples = eval_questions(cfg, eval_corpus)
+def evaluate_run(model, vocab, probe, eval_corpus, batch_size, run_dir):
+    """Score ``probe`` on the images of ``eval_corpus``, write eval.json and
+    predictions.jsonl into ``run_dir``, and return the EvalReport."""
     images = {i: eval_corpus.images[i].pixels for i in eval_corpus.image_ids()}
-    report = evaluate(model, vocab, examples, images, corpus=eval_corpus,
-                      batch_size=cfg.train["eval_batch"])
+    report = evaluate(model, vocab, probe, images, corpus=eval_corpus, batch_size=batch_size)
     with atomic_write(os.path.join(run_dir, EVAL_REPORT)) as f:
         f.write(report.to_json())
     write_predictions(os.path.join(run_dir, PREDICTIONS),
@@ -298,12 +340,20 @@ def evaluate_run(model, vocab, cfg, eval_corpus, run_dir):
 def evaluate_saved_run(run_dir):
     """Re-score a finished run from its directory alone: the echoed config,
     the checkpoint's parameters (no Adam moments) and the stored vocab.
-    Rewrites eval.json and predictions.jsonl, and the ``eval`` block of
-    run.json when the run has one (its presence marks a finished run, so it
-    is never created here), and returns the EvalReport."""
+    A checkpoint not at the run's ``total_steps`` is refused: its scores
+    are not those of the echoed config.  Rewrites eval.json and
+    predictions.jsonl, and the ``eval`` block of run.json when the run has
+    one (its presence marks a finished run, so it is never created here),
+    and returns the EvalReport."""
     cfg = load_run_config(os.path.join(run_dir, CONFIG_ECHO))
     require_eval_split(cfg, f"run {run_dir}")
-    state = load_checkpoint(os.path.join(run_dir, CHECKPOINT), optimizer=False)
+    ckpt_path = os.path.join(run_dir, CHECKPOINT)
+    state = load_checkpoint(ckpt_path, optimizer=False)
+    total = cfg.schedule["total_steps"]
+    if state.step != total:
+        raise CheckpointError(f"checkpoint {ckpt_path} is at step {state.step}, but the run's "
+                              f"[schedule] total_steps = {total}; finish the run with "
+                              "train --resume before eval")
     vocab = Vocab.load(os.path.join(run_dir, VOCAB))
     run_report = os.path.join(run_dir, RUN_REPORT)
     summary = None
@@ -311,14 +361,12 @@ def evaluate_saved_run(run_dir):
         summary = read_input(run_report, read_json)
         if not isinstance(summary, dict):
             raise ParseError(f"{run_report}: not a JSON object")
-    corpus, _ = _load_or_synth_corpus(cfg)
-    _, eval_ids = split_image_ids(corpus.image_ids(), cfg.eval_split, cfg.seed)
+    corpus, _, _, eval_corpus, probe = load_split(cfg)
     model, _ = restore_checkpoint(state, cfg, corpus, vocab)
-    eval_corpus = corpus.subset(eval_ids)
     # the model holds the parameters and the probe reads only the eval
     # images, so neither the state nor the training images stay alive
     del state, corpus
-    report = evaluate_run(model, vocab, cfg, eval_corpus, run_dir)
+    report = evaluate_run(model, vocab, probe, eval_corpus, cfg.train["eval_batch"], run_dir)
     if summary is not None:
         summary["eval"] = _eval_summary(report)
         _write_run_report(run_dir, summary)

@@ -21,16 +21,14 @@ vocabulary are built from these names.
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 import json
 import math
 import os
-import random
 from dataclasses import dataclass, field
 from enum import Enum
 
-from . import InputError
+from . import InputError, keyed_rng
 
 
 class TaskKind(str, Enum):
@@ -408,13 +406,6 @@ def synth_oa_which(image_id, positives, distractors, cfg, rng):
 # ---------------------------------------------------------------------------
 # dataset-level synthesis
 
-def example_rng(seed, kind, image_id, cycle):
-    """Deterministic per-example rng, independent of generation order."""
-    key = f"{seed}|{kind.value}|{image_id}|{cycle}".encode()
-    digest = hashlib.blake2b(key, digest_size=8).digest()
-    return random.Random(int.from_bytes(digest, "big"))
-
-
 def task_source(kind, corpus, image_id, cfg, pool):
     """What ``image_id`` supplies to build ``kind``, or None when it cannot
     build it.  This is the only test of eligibility.
@@ -505,7 +496,7 @@ def _examples(plan, count_per_kind, cfg, lexicon, pool):
         generate = _GENERATORS[kind]
         for n in range(count_per_kind):
             image_id, material = sources[n % len(sources)]
-            rng = example_rng(cfg.seed, kind, image_id, n // len(sources))
+            rng = keyed_rng(cfg.seed, kind.value, image_id, n // len(sources))
             if kind in CM_KINDS:  # draw the example's caption
                 k = 0 if len(material) == 1 else rng.randrange(len(material))
                 material = material[k]

@@ -377,6 +377,47 @@ def test_resume_refuses_fewer_total_steps_than_the_checkpoint(micro_run, tmp_pat
     assert _dir_bytes(out) == before
 
 
+@pytest.mark.parametrize("old, new, key", [
+    ("[train]\n", "[train]\nlr = 0.5\n", "[train] lr"),
+    ("batch_size = 4", "batch_size = 6", "[schedule] batch_size"),
+    ("[train]\n", "[mixture]\nweights = 5 1 1\n[train]\n", "[mixture] weights"),
+    ("[tasks]\n", "[tasks]\npolicy = hard\n", "[tasks] policy"),
+], ids=["lr", "batch_size", "weights", "policy"])
+def test_resume_refuses_a_config_that_trains_differently(micro_run, tmp_path, capsys,
+                                                          old, new, key):
+    # the checkpoint and its Adam state came from the echoed config, so a
+    # resume under another lr, batch, mixture or policy would mix two
+    # configs' steps
+    out, ini = _copy_of_run(micro_run, tmp_path, old, new)
+    if key == "[tasks] policy":
+        # hard negatives bring words into the micro run's vocab, which the
+        # checkpoint check would name first; caption draws no negatives, so
+        # a caption-only run has one vocab under both policies
+        text = ini.read_text().replace("kinds = caption oa_exists oa_list", "kinds = caption")
+        run_training(parse_run_config(text.replace("policy = hard\n", "")))
+        ini.write_text(text)
+    before = _dir_bytes(out)
+    assert main(["train", "--config", str(ini), "--resume"]) == 2
+    err = capsys.readouterr().err
+    echo = os.path.join(out, "config.ini")
+    assert err.startswith(f"error: {key}: differ from {echo}, ") and "Traceback" not in err
+    assert _dir_bytes(out) == before
+
+
+def test_resume_to_more_steps_writes_what_a_fresh_run_writes(micro_run, tmp_path):
+    # total_steps may grow, and the keys that only save or score may change
+    out, ini = _copy_of_run(micro_run, tmp_path, "total_steps = 25", "total_steps = 30")
+    ini.write_text(ini.read_text().replace("[train]\n",
+                                           "[train]\ncheckpoint_every = 10\neval_batch = 3\n"))
+    assert main(["train", "--config", str(ini), "--resume"]) == 0
+    fresh = micro_cfg(str(tmp_path / "fresh"))
+    run_training(parse_run_config(fresh.source_text.replace("total_steps = 25",
+                                                            "total_steps = 30")))
+    for name in ("checkpoint.mpt", "metrics.jsonl", "eval.json", "predictions.jsonl"):
+        with open(os.path.join(out, name), "rb") as a, \
+             open(os.path.join(fresh.out, name), "rb") as b:
+            assert a.read() == b.read(), name
+
 
 def _copy_of_run(micro_run, tmp_path, old="", new=""):
     """A copy of the finished micro run, and a run config for the copy with
@@ -675,6 +716,49 @@ def test_split_without_a_training_image_refused_before_the_run_dir_changes(
         assert _dir_bytes(out) == before
 
 
+# one eval image of five: itm asks for a caption of another eval image
+_UNSUPPLIABLE_PROBE = ("n_images = 36", "n_images = 5")
+
+
+def test_unsuppliable_probe_refused_before_the_run_dir_changes(micro_run, tmp_path, capsys,
+                                                               monkeypatch):
+    def no_training(*args, **kwargs):
+        raise AssertionError("trained a run whose probe cannot be built")
+
+    monkeypatch.setattr("mixpretrain.runner.train", no_training)
+    out, ini = _copy_of_run(micro_run, tmp_path, *_UNSUPPLIABLE_PROBE)
+    ini.write_text(ini.read_text().replace("[train]\n", "[train]\neval_kinds = itm\n"))
+    message = "error: eval probe on 1 eval image: itm: no eligible images\n"
+    fresh = tmp_path / "fresh"
+    assert main(["train", "--config", str(ini), "--out", str(fresh)]) == 2
+    assert capsys.readouterr().err == message
+    assert not os.path.exists(fresh)
+    shutil.copy(ini, os.path.join(out, "config.ini"))  # the config eval reads
+    before = _dir_bytes(out)
+    for argv in (["train", "--config", str(ini)], ["train", "--config", str(ini), "--resume"],
+                 ["eval", "--run", out]):
+        assert main(argv) == 2
+        assert capsys.readouterr().err == message
+        assert _dir_bytes(out) == before
+
+
+def test_the_probe_is_built_once_per_call_before_training(micro_run, tmp_path, monkeypatch):
+    from mixpretrain import runner
+
+    calls = []
+    real_questions, real_train = runner.eval_questions, runner.train
+    monkeypatch.setattr(runner, "eval_questions",
+                        lambda *a: calls.append("probe") or real_questions(*a))
+    monkeypatch.setattr(runner, "train", lambda *a: calls.append("train") or real_train(*a))
+    out, ini = _copy_of_run(micro_run, tmp_path)
+    for argv, expected in ((["train", "--config", str(ini)], ["probe", "train"]),
+                           (["train", "--config", str(ini), "--resume"], ["probe", "train"]),
+                           (["eval", "--run", out], ["probe"])):
+        calls.clear()
+        assert main(argv) == 0
+        assert calls == expected, argv
+
+
 # ---------------------------------------------------------------------------
 # the fault contract: InputError and OSError exit 2, runtime faults 3, and
 # anything else is a bug that keeps its traceback
@@ -964,6 +1048,36 @@ def test_cli_eval_refuses_a_run_without_eval_split_before_reading_it(micro_run, 
     assert _dir_bytes(out) == before
 
 
+def test_cli_eval_refuses_an_unfinished_run(tmp_path, capsys, monkeypatch):
+    from mixpretrain import model as M
+    from mixpretrain.model import TrainingError
+
+    out = str(tmp_path / "killed")
+    ini = tmp_path / "run.ini"
+    ini.write_text(MICRO_INI.format(out=out).replace("[train]\n",
+                                                     "[train]\ncheckpoint_every = 10\n"))
+    real = M.adam_step
+
+    def crash_at_15(params, state):
+        if state.step == 15:
+            raise TrainingError("simulated kill after step 14")
+        return real(params, state)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(M, "adam_step", crash_at_15)
+        assert main(["train", "--config", str(ini)]) == 3
+    capsys.readouterr()
+    before = _dir_bytes(out)
+    assert main(["eval", "--run", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: checkpoint {os.path.join(out, 'checkpoint.mpt')} is at step 10")
+    assert "total_steps = 25" in err and "train --resume" in err and "Traceback" not in err
+    assert _dir_bytes(out) == before  # no eval.json, no predictions.jsonl
+    # the finished run is scored
+    assert main(["train", "--config", str(ini), "--resume"]) == 0
+    assert main(["eval", "--run", out]) == 0
+
+
 def test_score_out_failed_write_keeps_previous(micro_run, tmp_path, monkeypatch):
     from mixpretrain.evalkit import EvalReport
 
@@ -1100,6 +1214,35 @@ def test_cli_ablate_refuses_a_base_config_without_eval_split(tmp_path, capsys, m
     assert not os.path.exists(out)
 
 
+_OWNED = "which the grid sets for every cell"
+
+
+@pytest.mark.parametrize("old, new, message", [
+    ("[train]\n", "[train]\neval_kinds = oa_exists\n",
+     f"the grid's base config sets [train] eval_kinds, {_OWNED}"),
+    ("[train]\n", "[mixture]\nweights = 4 1 1\n[train]\n",
+     f"the grid's base config sets [mixture] weights, {_OWNED}"),
+    ("[train]\n", "[mixture]\nweights = 4 1 1\n[train]\neval_kinds = oa_exists\n",
+     f"the grid's base config sets [mixture] weights, [train] eval_kinds, {_OWNED}"),
+    # paper-table1 scores all eight kinds, itm among them
+    (*_UNSUPPLIABLE_PROBE, "eval probe on 1 eval image: itm: no eligible images"),
+], ids=["eval_kinds", "weights", "both", "unsuppliable_probe"])
+def test_cli_ablate_refuses_a_grid_before_any_directory(tmp_path, capsys, monkeypatch,
+                                                        old, new, message):
+    def no_training(*args, **kwargs):
+        raise AssertionError("a cell trained for a refused grid")
+
+    monkeypatch.setattr(ablate, "run_training", no_training)
+    ini = tmp_path / "base.ini"
+    ini.write_text(MICRO_INI.format(out="unused").replace(old, new))
+    out = tmp_path / "grid"
+    argv = ["ablate", "--grid", "paper-table1", "--seeds", "1", "--config", str(ini),
+            "--out", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not os.path.exists(out)
+
+
 # ---------------------------------------------------------------------------
 # ablation grids
 
@@ -1149,7 +1292,7 @@ def micro_grid(tmp_path_factory):
     base = micro_cfg("unused")
     grid = [("oa_exists_easy", ["oa_exists"], "easy"),
             ("oa_exists_hard", ["oa_exists"], "hard")]
-    summary = run_grid(grid, base, out, seeds=(0, 1), jobs=1, eval_kinds=["oa_exists"])
+    summary = run_grid((grid, ["oa_exists"]), base, out, seeds=(0, 1), jobs=1)
     return out, base, grid, summary
 
 
@@ -1171,7 +1314,7 @@ def test_grid_reuses_complete_runs(micro_grid):
     out, base, grid, _ = micro_grid
     marker = os.path.join(out, "oa_exists_easy", "seed0", "run.json")
     stamp = os.path.getmtime(marker)
-    run_grid(grid, base, out, seeds=(0, 1), jobs=1, eval_kinds=["oa_exists"])
+    run_grid((grid, ["oa_exists"]), base, out, seeds=(0, 1), jobs=1)
     assert os.path.getmtime(marker) == stamp
 
 
@@ -1180,15 +1323,13 @@ def test_grid_parallel_matches_serial(micro_grid, tmp_path):
     out2 = str(tmp_path / "par")
     cells = [f"  {name} seed{seed}: done" for name, _, _ in grid for seed in (0, 1)]
     logged = []
-    s2 = run_grid(grid, base, out2, seeds=(0, 1), jobs=2, eval_kinds=["oa_exists"],
-                  log=logged.append)
+    s2 = run_grid((grid, ["oa_exists"]), base, out2, seeds=(0, 1), jobs=2, log=logged.append)
     assert s2["variants"]["oa_exists_easy"]["aggregate"] == \
         summary["variants"]["oa_exists_easy"]["aggregate"]
     assert logged[1:] == cells
     # the serial path (reusing the finished runs) logs the same cells
     logged.clear()
-    run_grid(grid, base, out2, seeds=(0, 1), jobs=1, eval_kinds=["oa_exists"],
-             log=logged.append)
+    run_grid((grid, ["oa_exists"]), base, out2, seeds=(0, 1), jobs=1, log=logged.append)
     assert logged[1:] == cells
 
 
@@ -1204,8 +1345,7 @@ def test_grid_workers_run_on_one_blas_thread(micro_grid, tmp_path, monkeypatch):
         threads = pool.apply(_openblas_threads)  # None where numpy bundles no OpenBLAS
     assert seen == ["1", "1"] and threads in (1, None)
     assert not any(var in os.environ for var in blas_vars)  # only the workers had them
-    s2 = run_grid(grid, base, str(tmp_path / "par"), seeds=(0, 1), jobs=2,
-                  eval_kinds=["oa_exists"])
+    s2 = run_grid((grid, ["oa_exists"]), base, str(tmp_path / "par"), seeds=(0, 1), jobs=2)
     assert s2["variants"] == summary["variants"]
     # a count the user sets is kept
     monkeypatch.setenv("OMP_NUM_THREADS", "2")
@@ -1225,7 +1365,7 @@ def test_grid_failed_variant_marks_row(micro_grid, tmp_path, monkeypatch):
     monkeypatch.setattr(ablate, "run_training", sabotaged)
     grid = [("doomed", ["oa_exists"], "easy"), ("fine", ["oa_exists"], "easy")]
     out = str(tmp_path / "g")
-    summary = run_grid(grid, base, out, seeds=(0,), jobs=1, eval_kinds=["oa_exists"])
+    summary = run_grid((grid, ["oa_exists"]), base, out, seeds=(0,), jobs=1)
     assert summary["variants"]["doomed"]["status"] == "failed"
     assert "boom" in summary["variants"]["doomed"]["seeds"]["0"]["error"]
     assert summary["variants"]["fine"]["status"] == "ok"
@@ -1249,7 +1389,7 @@ def test_grid_failed_cell_keeps_its_traceback(micro_grid, tmp_path, monkeypatch)
     grid = [("flaky", ["oa_exists"], "easy")]
     out = str(tmp_path / "g")
     error_path = os.path.join(out, "flaky", "seed0", ablate.ERROR_FILE)
-    run_grid(grid, base, out, seeds=(0,), jobs=1, eval_kinds=["oa_exists"])
+    run_grid((grid, ["oa_exists"]), base, out, seeds=(0,), jobs=1)
     with open(os.path.join(out, "summary.json")) as f:
         flaky = json.load(f)["variants"]["flaky"]
     assert flaky["status"] == "failed" and flaky["seeds"]["0"]["error"] == "RuntimeError: boom"
@@ -1259,7 +1399,7 @@ def test_grid_failed_cell_keeps_its_traceback(micro_grid, tmp_path, monkeypatch)
     assert text.rstrip().endswith("RuntimeError: boom")
 
     # the cell completes on the next attempt and the stale traceback goes
-    summary = run_grid(grid, base, out, seeds=(0,), jobs=1, eval_kinds=["oa_exists"])
+    summary = run_grid((grid, ["oa_exists"]), base, out, seeds=(0,), jobs=1)
     assert summary["variants"]["flaky"]["status"] == "ok"
     assert not os.path.exists(error_path)
 
