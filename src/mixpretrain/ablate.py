@@ -57,9 +57,10 @@ ERROR_FILE = "error.txt"  # a failed cell's traceback, in its run directory
 
 
 def variant_config(base, name, kinds, policy, seed, out_root, eval_kinds):
-    return derive_config(base, seed=seed, out=os.path.join(out_root, name, f"seed{seed}"),
-                         tasks={**base.tasks, "kinds": list(kinds), "policy": policy},
-                         weights=[], train={**base.train, "eval_kinds": list(eval_kinds)})
+    out = os.path.join(out_root, name, f"seed{seed}")
+    return derive_config(base, run={"seed": seed, "out": out},
+                         tasks={"kinds": list(kinds), "policy": policy},
+                         mixture={"weights": []}, train={"eval_kinds": list(eval_kinds)})
 
 
 def variant_metrics(report):

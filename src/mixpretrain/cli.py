@@ -104,9 +104,14 @@ def cmd_synth(args):
     return 0
 
 
+def _default_config_text(out=None, seed=0):
+    """The config `init-config` writes and `train` and `ablate` run without --config."""
+    return default_config_text(_under_root(out, os.path.join("runs", "demo")), seed)
+
+
 def _base_config(path):
     """The run config in ``path``, or the default config when none is given."""
-    return load_run_config(path) if path else parse_run_config(default_config_text())
+    return load_run_config(path) if path else parse_run_config(_default_config_text())
 
 
 def cmd_train(args):
@@ -117,7 +122,7 @@ def cmd_train(args):
     if args.out:
         changes["out"] = args.out
     if changes:
-        cfg = derive_config(cfg, **changes)
+        cfg = derive_config(cfg, run=changes)
     summary = run_training(cfg, resume=args.resume, log=print)
     print(f"run complete -> {cfg.out} (final loss {summary['final_loss']})")
     return 0
@@ -175,8 +180,7 @@ def cmd_ablate(args):
 
 
 def cmd_init_config(args):
-    text = default_config_text(out=args.out or os.path.join(data_root(), "runs", "demo"),
-                               seed=args.seed)
+    text = _default_config_text(args.out, args.seed)
     if args.path == "-":
         sys.stdout.write(text)
     else:

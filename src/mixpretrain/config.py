@@ -1,6 +1,7 @@
 """Run configuration: one INI file describes corpus, tasks, mixture,
-model, and training for a single run.  The raw file bytes are echoed into
-the run directory so every experiment carries its exact provenance."""
+model, and training for a single run, and a `RunConfig` is its sections, so
+a new key is one `_SCHEMA` line.  The raw file bytes are echoed into the run
+directory so every experiment carries its exact provenance."""
 
 from __future__ import annotations
 
@@ -8,7 +9,7 @@ import configparser
 import dataclasses
 import io
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 from .corpus import ConfigError, check_synth_args, read_input
 from .mixture import MixtureSpec, ScheduleConfig
@@ -82,20 +83,24 @@ def parse_kinds(names, what="task kind"):
 
 @dataclass
 class RunConfig:
-    """A parsed run config.  Build it with `parse_run_config` or
-    `load_run_config`, which share one gate: a config that comes out of
-    either is one the run accepts."""
+    """A parsed run config: one dict per `_SCHEMA` section, key -> value.
+    Build it with `parse_run_config` or `load_run_config`, which share one
+    gate: a config that comes out of either is one the run accepts."""
 
-    seed: int
-    out: str
-    eval_split: float
+    run: dict
     corpus: dict
     tasks: dict
-    weights: list
+    mixture: dict
     schedule: dict
     model: dict
     train: dict
     source_text: str  # exact INI text this config was parsed from
+
+    # read-only shortcuts to the keys most readers want
+    seed = property(lambda self: self.run["seed"])
+    out = property(lambda self: self.run["out"])
+    eval_split = property(lambda self: self.run["eval_split"])
+    weights = property(lambda self: self.mixture["weights"])
 
     @property
     def kinds(self):
@@ -105,10 +110,9 @@ class RunConfig:
     def image_size(self):
         return self.corpus["grid"] * self.corpus["cell"]
 
-    def to_dict(self):
-        d = asdict(self)
-        d.pop("source_text")
-        return d
+    def sections(self):
+        """section -> key -> value, in schema order."""
+        return {sec: getattr(self, sec) for sec in _SCHEMA}
 
     # the only place where config keys become the typed configs of a run
 
@@ -119,42 +123,22 @@ class RunConfig:
                            yes_no_balance=t["yes_no_balance"], policy=policy)
 
     def model_config(self, vocab_size):
-        m = self.model
-        return ModelConfig(vocab_size=vocab_size, d_model=m["d_model"], n_heads=m["n_heads"],
-                           n_encoder_layers=m["n_encoder_layers"],
-                           n_decoder_layers=m["n_decoder_layers"], d_ff=m["d_ff"],
-                           patch=m["patch"], image_size=self.image_size,
-                           max_prompt=m["max_prompt"], max_target=m["max_target"])
+        return ModelConfig(vocab_size=vocab_size, image_size=self.image_size, **self.model)
 
-    def mixture(self):
+    def mixture_spec(self):
         if self.weights:
             return MixtureSpec(self.kinds, self.weights)
         return MixtureSpec.equal(self.kinds)
 
     def schedule_config(self):
-        return ScheduleConfig(total_steps=self.schedule["total_steps"],
-                              batch_size=self.schedule["batch_size"], seed=self.seed)
-
-
-def _sections(cfg):
-    """section -> key -> value of a RunConfig, in schema layout."""
-    return {
-        "run": {"seed": cfg.seed, "out": cfg.out, "eval_split": cfg.eval_split},
-        "corpus": cfg.corpus,
-        "tasks": cfg.tasks,
-        "mixture": {"weights": cfg.weights},
-        "schedule": cfg.schedule,
-        "model": cfg.model,
-        "train": cfg.train,
-    }
+        return ScheduleConfig(seed=self.seed, **self.schedule)
 
 
 def changed_keys(old, new):
     """The ``[section] key`` names whose values differ between two
     RunConfigs, in schema order."""
-    a, b = _sections(old), _sections(new)
     return [f"[{sec}] {key}" for sec in _SCHEMA for key in _SCHEMA[sec]
-            if a[sec][key] != b[sec][key]]
+            if getattr(old, sec)[key] != getattr(new, sec)[key]]
 
 
 def _defaults():
@@ -185,8 +169,10 @@ def parse_run_config(text):
 
 def _parse(text, source):
     """The RunConfig of INI ``text``; an INI syntax error names ``source``."""
-    # no interpolation: a value such as a path may hold a literal "%"
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), interpolation=None)
+    # no interpolation: a path may hold a literal "%"; no header can name the
+    # default section "", so [DEFAULT] is an unknown section, not copied keys
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), interpolation=None,
+                                       default_section="")
     try:
         parser.read_string(text, source)
     except configparser.Error as e:
@@ -201,18 +187,7 @@ def _parse(text, source):
                 raise ConfigError(f"unknown key {key!r} in section [{section}]")
             values[section][key] = _coerce(section, key, raw)
 
-    cfg = RunConfig(
-        seed=values["run"]["seed"],
-        out=values["run"]["out"],
-        eval_split=values["run"]["eval_split"],
-        corpus=values["corpus"],
-        tasks=values["tasks"],
-        weights=values["mixture"]["weights"],
-        schedule=values["schedule"],
-        model=values["model"],
-        train=values["train"],
-        source_text=text,
-    )
+    cfg = RunConfig(**values, source_text=text)
     _validate(cfg)
     return cfg
 
@@ -232,10 +207,9 @@ def _validate(cfg):
         raise ConfigError("[corpus] source = dir requires a dir path")
     if not cfg.kinds:
         raise ConfigError("[tasks] kinds must name at least one task kind")
-    sections = _sections(cfg)
     for section, keys in _SCHEMA.items():
         for key, (tag, _) in keys.items():
-            value = sections[section][key]
+            value = getattr(cfg, section)[key]
             lo = 0 if (section, key) in _NON_NEGATIVE_INTS else 1
             if tag == "int" and value < lo:
                 raise ConfigError(f"[{section}] {key} must be >= {lo}, got {value}")
@@ -245,7 +219,7 @@ def _validate(cfg):
                            ("train", lambda: parse_kinds(cfg.train["eval_kinds"], "eval kind")),
                            ("tasks", lambda: cfg.synth_config(cfg.tasks["policy"])),
                            ("model", lambda: cfg.model_config(MIN_VOCAB_SIZE)),
-                           ("mixture", cfg.mixture),
+                           ("mixture", cfg.mixture_spec),
                            ("schedule", cfg.schedule_config)):
         try:
             build()
@@ -264,7 +238,7 @@ def load_run_config(path):
 def render_config(cfg):
     """INI text for a RunConfig, in schema layout."""
     parser = configparser.ConfigParser(interpolation=None)
-    for sec, keys in _sections(cfg).items():
+    for sec, keys in cfg.sections().items():
         parser[sec] = {}
         for k, v in keys.items():
             parser[sec][k] = " ".join(str(x) for x in v) if isinstance(v, list) else str(v)
@@ -273,12 +247,19 @@ def render_config(cfg):
     return buf.getvalue()
 
 
-def derive_config(cfg, **changes):
-    """``cfg`` with the fields in ``changes`` replaced, rendered and parsed
-    again: a derived config passes the same gate as a file and echoes its
-    own text."""
-    return parse_run_config(render_config(dataclasses.replace(cfg, **changes)))
+def derive_config(cfg, **sections):
+    """``cfg`` with the given keys of each section replaced (``run={"seed":
+    1}``), rendered and parsed again: a derived config passes the same gate
+    as a file, echoes its own text, and holds every value it was given."""
+    wanted = dataclasses.replace(cfg, **{sec: {**getattr(cfg, sec), **keys}
+                                         for sec, keys in sections.items()})
+    derived = parse_run_config(render_config(wanted))
+    lost = changed_keys(wanted, derived)
+    if lost:
+        raise ConfigError(f"{', '.join(lost)}: value does not survive the config text "
+                          "(' #' and ' ;' start a comment, outer spaces are dropped)")
+    return derived
 
 
 def default_config_text(out="runs/demo", seed=0):
-    return render_config(parse_run_config(f"[run]\nseed = {seed}\nout = {out}\n"))
+    return derive_config(parse_run_config(""), run={"seed": seed, "out": out}).source_text

@@ -224,7 +224,7 @@ def run_training(cfg: RunConfig, resume=False, log=None):
         opt = AdamState(lr=cfg.train["lr"])
 
     sizes = {k: len(v) for k, v in datasets.items()}
-    schedule = build_schedule(cfg.mixture(), cfg.schedule_config(), sizes)
+    schedule = build_schedule(cfg.mixture_spec(), cfg.schedule_config(), sizes)
 
     images = {i: corpus.images[i].pixels for i in train_ids}
     fingerprints = (vocab.fingerprint(), corpus.fingerprint())

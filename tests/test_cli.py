@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import mixpretrain
-from mixpretrain import InputError, ablate
+from mixpretrain import InputError, ablate, cli
 from mixpretrain.ablate import (
     GRIDS,
     TABLE1,
@@ -25,6 +25,7 @@ from mixpretrain.ablate import (
 from mixpretrain.cli import build_parser, main
 from mixpretrain.config import (
     default_config_text,
+    derive_config,
     load_run_config,
     parse_run_config,
     render_config,
@@ -93,7 +94,7 @@ def test_config_round_trip():
     for cfg in cfgs:
         text = render_config(cfg)
         again = parse_run_config(text)
-        assert again.to_dict() == cfg.to_dict()
+        assert again.sections() == cfg.sections()
         assert render_config(again) == text
 
 
@@ -165,6 +166,59 @@ def test_comments_and_blank_weights_ok():
     cfg = parse_run_config("[run]\nseed = 9  # lucky\n[mixture]\nweights =\n")
     assert cfg.seed == 9
     assert cfg.weights == []
+
+
+@pytest.mark.parametrize("text", [
+    "[DEFAULT]\nlr = 0.5\n",
+    "[DEFAULT]\nlr = 0.5\n[train]\n",
+    "[DEFAULT]\nlr = 0.5\n[train]\n[run]\n",
+], ids=["alone", "beside_train", "beside_train_and_run"])
+def test_default_section_refused(text):
+    # configparser would copy [DEFAULT] keys into every other section
+    with pytest.raises(ConfigError, match=r"unknown config section \[DEFAULT\]"):
+        parse_run_config(text)
+
+
+@pytest.mark.parametrize("out", ["a #1", "a ;1", " a"])
+def test_derive_refuses_a_value_its_text_cannot_hold(out):
+    with pytest.raises(ConfigError, match=r"^\[run\] out: "):
+        derive_config(micro_cfg("/tmp/x"), run={"out": out})
+
+
+def test_derive_merges_partial_sections():
+    base = micro_cfg("/tmp/x")
+    cfg = derive_config(base, run={"out": "a#1;2"}, tasks={"policy": "hard"})
+    assert (cfg.out, cfg.seed, cfg.eval_split) == ("a#1;2", base.seed, base.eval_split)
+    assert cfg.tasks == {**base.tasks, "policy": "hard"}
+    assert parse_run_config(cfg.source_text).sections() == cfg.sections()
+
+
+@pytest.mark.parametrize("verb", ["train", "ablate", "init-config"])
+def test_cli_refuses_an_out_its_config_text_cannot_hold(verb, tmp_path, capsys, monkeypatch):
+    def no_training(*args, **kwargs):
+        raise AssertionError("trained under a refused config")
+
+    monkeypatch.setattr(cli, "run_training", no_training)
+    monkeypatch.setattr(ablate, "run_training", no_training)
+    ini = tmp_path / "base.ini"
+    ini.write_text(MICRO_INI.format(out="unused"))
+    argv = {
+        "train": ["train", "--config", str(ini), "--out", str(tmp_path / "run #1")],
+        "ablate": ["ablate", "--grid", "paper-table2", "--seeds", "1", "--config", str(ini),
+                   "--out", str(tmp_path / "g #1")],
+        "init-config": ["init-config", str(tmp_path / "new.ini"), "--out", "runs/a #1"],
+    }[verb]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: [run] out: ")
+    assert os.listdir(tmp_path) == ["base.ini"]
+
+
+def test_default_config_honours_the_data_root(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("MIXPRETRAIN_DATA", str(tmp_path))
+    cfg = cli._base_config(None)
+    assert cfg.out == os.path.join(str(tmp_path), "runs", "demo")
+    assert main(["init-config", "-"]) == 0
+    assert capsys.readouterr().out == cfg.source_text
 
 
 # ---------------------------------------------------------------------------
